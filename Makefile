@@ -11,11 +11,13 @@ check: diff race
 # snapshot fixture), plus service telemetry on × off, plus allocation
 # policy static × none (and dynamic-policy determinism under every
 # loop), must agree bit-for-bit on the full Result (reflect.DeepEqual)
-# across every preset. Fast feedback when touching the issue stage, the
-# quiescence skip, the parallel loop, the memory hierarchy, the
-# metrics/tracing hooks, the snapshot codec, or the alloc subsystem.
+# across every preset; and the steady-state cycle loop must allocate
+# nothing (the window-entry pool). Fast feedback when touching the issue
+# stage, the entry pool, the quiescence skip, the parallel loop, the
+# memory hierarchy, the metrics/tracing hooks, the snapshot codec, or
+# the alloc subsystem.
 diff:
-	go test ./internal/core -run 'TestEventDriven|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestAlloc'
+	go test ./internal/core -run 'TestEventDriven|TestWakeup|TestSteadyStateAllocFree|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestAlloc'
 	go test ./internal/service -run TestTelemetryDifferential
 
 # Race-check the concurrent layers: the core parallel execution mode

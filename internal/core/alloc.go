@@ -284,9 +284,10 @@ func (s *Simulator) completeMigrations(now int64) bool {
 
 // moveThread performs the between-cycles re-homing of a fully drained
 // thread: splice it out of the source cluster, append it to the
-// destination, discard rename/store-forwarding history (it refers to
-// the old cluster's entries; every producer is committed by now), and
-// charge the pipeline-refill stall.
+// destination, discard rename/store-forwarding history and the
+// pending-branch handle (the move can land before unblock clears it;
+// all of them name slots in the old cluster's pool, and every producer
+// is committed by now), and charge the pipeline-refill stall.
 func (s *Simulator) moveThread(t *threadCtx, now int64) {
 	src, dst := t.cluster, t.migrateTo
 	for i, st := range src.threads {
@@ -307,9 +308,10 @@ func (s *Simulator) moveThread(t *threadCtx, now int64) {
 	t.cluster = dst
 	t.chip = dst.chip
 	t.migrateTo = nil
-	t.lastWriterInt = [isa.NumIntRegs]*entry{}
-	t.lastWriterFP = [isa.NumFPRegs]*entry{}
+	t.lastWriterInt = [isa.NumIntRegs]handle{}
+	t.lastWriterFP = [isa.NumFPRegs]handle{}
 	t.lastStore = nil
+	t.pendingBranch = handle{}
 	t.block = blockMigrate
 	t.migrateReady = now + MigrationColdStart
 }

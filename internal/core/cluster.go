@@ -37,7 +37,7 @@ type threadCtx struct {
 	memBase int64
 
 	block         blockReason
-	pendingBranch *entry // mispredicted branch being waited on
+	pendingBranch handle // mispredicted branch being waited on
 	lockGranted   bool   // TryLock succeeded while blocked; consume at fetch
 	barArrived    bool
 	barTarget     uint64
@@ -50,16 +50,19 @@ type threadCtx struct {
 	migrateTo    *cluster
 	migrateReady int64
 
-	lastWriterInt [isa.NumIntRegs]*entry
-	lastWriterFP  [isa.NumFPRegs]*entry
+	// lastWriterInt/FP name each register's youngest writer fetched on
+	// this cluster; once retired they read as ready, like the
+	// architectural value.
+	lastWriterInt [isa.NumIntRegs]handle
+	lastWriterFP  [isa.NumFPRegs]handle
 
 	// lastStore maps an effective address to the thread's youngest
 	// in-flight store to it (lazily allocated; evicted at commit). Loads
 	// bind their forwarding candidate from it at fetch, replacing the
 	// per-issue FIFO scan.
-	lastStore map[int64]*entry
+	lastStore map[int64]handle
 
-	fifo     []*entry // program order, for in-order commit
+	fifo     []handle // program order, for in-order commit
 	fifoHead int
 	inWindow int
 
@@ -80,22 +83,20 @@ func (t *threadCtx) done() bool { return t.fn.Halted && t.inWindow == 0 }
 
 func (t *threadCtx) fifoLen() int { return len(t.fifo) - t.fifoHead }
 
-func (t *threadCtx) fifoFront() *entry { return t.fifo[t.fifoHead] }
+func (t *threadCtx) fifoFront() handle { return t.fifo[t.fifoHead] }
 
 func (t *threadCtx) fifoPop() {
-	t.fifo[t.fifoHead] = nil
 	t.fifoHead++
-	if t.fifoHead >= 128 && t.fifoHead*2 >= len(t.fifo) {
+	if t.fifoHead >= 16 && t.fifoHead*2 >= len(t.fifo) {
+		// Slide the live tail down once half the slice is consumed, so
+		// the capacity stays near twice the thread's in-flight count.
 		n := copy(t.fifo, t.fifo[t.fifoHead:])
-		for i := n; i < len(t.fifo); i++ {
-			t.fifo[i] = nil
-		}
 		t.fifo = t.fifo[:n]
 		t.fifoHead = 0
 	}
 	t.frontEvent = noEvent
 	if t.fifoLen() > 0 {
-		if f := t.fifoFront(); f.state != stateDispatched {
+		if f := t.cluster.at(t.fifoFront()); f.state != stateDispatched {
 			t.frontEvent = f.completeAt
 		}
 	}
@@ -123,7 +124,7 @@ type cluster struct {
 	// here; capacity checks charge them so an epoch can never oversubscribe
 	// a cluster's hardware contexts.
 	migrateIn int
-	window    []*entry // reorder buffer: dispatch -> commit
+	window    []handle // reorder buffer: dispatch -> commit
 	iqCount   int      // instruction-queue occupancy: dispatch -> issue
 	zombies   int      // committed entries not yet swept out of window
 	seq       uint64
@@ -143,13 +144,13 @@ type cluster struct {
 
 	// Wakeup-path state (wakeup.go): the front-end pending deque
 	// (entries not yet past the decode/rename delay, in fetch and hence
-	// eligibleAt order), the time-bucketed wakeup wheel, the seq-sorted
+	// eligibleAt order), the wakeup wheel, the seq-sorted
 	// ready list, and the waiting entries' hazard tallies maintained
 	// incrementally. All empty on the scan path.
-	pending     []*entry
+	pending     []handle
 	pendingHead int
 	wheel       wheel
-	ready       []*entry
+	ready       []handle
 	waitMemN    int
 	waitDataN   int
 
@@ -165,12 +166,14 @@ type cluster struct {
 	fetchRR  int
 	commitRR int
 
-	// arena batch-allocates window entries (entryArenaSize at a time) so
-	// the steady-state fetch path does not hit the allocator once per
-	// instruction. Slots are never reused — in-flight pointers (window,
-	// fifo, lastWriter, producers) stay valid — and retention is bounded
-	// because committed entries drop their producer links.
-	arena []entry
+	// pool holds the cluster's window entries, addressed by handle
+	// (entry.go). A slot returns to the free list when the zombie sweep
+	// removes its committed entry from the window, and the fetch path
+	// reuses it, so the pool grows only while the window first fills
+	// and the steady state allocates nothing. pool[0] is the nil
+	// sentinel.
+	pool []entry
+	free []int32
 
 	// Per-run counters.
 	slots            stats.Slots
@@ -187,23 +190,8 @@ type cluster struct {
 	pcHighWater int64
 }
 
-// entryArenaSize is the batch size of the cluster entry allocator —
-// small enough that stale lastWriter references (at most one per
-// architectural register per thread) pin only a bounded tail of chunks.
-const entryArenaSize = 64
-
-// newEntry returns a fresh zeroed entry from the cluster's arena.
-func (c *cluster) newEntry() *entry {
-	if len(c.arena) == 0 {
-		c.arena = make([]entry, entryArenaSize)
-	}
-	e := &c.arena[0]
-	c.arena = c.arena[1:]
-	return e
-}
-
 func newCluster(chip, idx int, cfg config.Arch) *cluster {
-	return &cluster{
+	c := &cluster{
 		chip:          chip,
 		idx:           idx,
 		cfg:           cfg,
@@ -215,6 +203,9 @@ func newCluster(chip, idx int, cfg config.Arch) *cluster {
 		bp:            NewBranchPredictor(cfg.PredictorSize()),
 		btb:           NewBTB(cfg.BTBSize()),
 	}
+	c.pool, c.free = newPool(cfg.WindowEntries)
+	c.window = make([]handle, 0, cap(c.free))
+	return c
 }
 
 func (c *cluster) units(class isa.Class) []int64 {
@@ -290,7 +281,8 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 	for i := 0; i < n && budget > 0; i++ {
 		t := c.threads[(c.commitRR+i)%n]
 		for budget > 0 && t.frontEvent <= now {
-			e := t.fifoFront()
+			h := t.fifoFront()
+			e := c.at(h)
 			t.fifoPop()
 			if e.isStore {
 				if s.par != nil {
@@ -299,13 +291,13 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 					// to the coordinator, which drains the queues in exact
 					// sequential order. Store never feeds a value back into
 					// commit, so deferral is invisible to this stage.
-					c.storeQ = append(c.storeQ, e.d.Addr+e.thread.memBase)
+					c.storeQ = append(c.storeQ, e.d.Addr+t.memBase)
 				} else if s.tr != nil {
 					pre := s.dirCounters()
-					s.msys.Store(now, c.chip, e.d.Addr+e.thread.memBase)
+					s.msys.Store(now, c.chip, e.d.Addr+t.memBase)
 					s.traceDirDelta(now, c, e, pre)
 				} else {
-					s.msys.Store(now, c.chip, e.d.Addr+e.thread.memBase)
+					s.msys.Store(now, c.chip, e.d.Addr+t.memBase)
 				}
 			}
 			if e.usesIntRename {
@@ -316,8 +308,7 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 			}
 			e.committed = true
 			c.zombies++
-			e.dropProducers()
-			if e.isStore && t.lastStore[e.d.Addr] == e {
+			if e.isStore && t.lastStore[e.d.Addr] == h {
 				// Youngest in-flight store to this address: nothing
 				// younger replaced it, so the mapping dies with it and
 				// the map stays bounded by in-flight stores.
@@ -341,27 +332,26 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 
 	// Compact lazily: committed entries are invisible to every window
 	// walk already (their state is not dispatched), so sweeping them out
-	// each cycle — a full pointer-slice rewrite, all barriered writes —
-	// buys nothing. They only pad the slice, which the capacity checks
-	// correct for via c.zombies. Sweep once a quarter-window of zombies
-	// accumulates (or the window is all zombies, so the sweep is free),
-	// skipping the still-uncommitted prefix in place.
+	// each cycle buys nothing. They only pad the slice, which the
+	// capacity checks correct for via c.zombies. Sweep once a
+	// quarter-window of zombies accumulates (or the window is all
+	// zombies), skipping the still-uncommitted prefix in place; each
+	// swept entry's slot goes back on the pool's free list.
 	if threshold := c.cfg.WindowEntries / 4; c.zombies > 0 &&
 		(c.zombies > threshold || c.zombies == len(c.window)) {
 		w := c.window
 		i := 0
-		for i < len(w) && !w[i].committed {
+		for i < len(w) && !c.at(w[i]).committed {
 			i++
 		}
 		j := i
 		for ; i < len(w); i++ {
-			if e := w[i]; !e.committed {
-				w[j] = e
+			if h := w[i]; c.at(h).committed {
+				c.free = append(c.free, h.slot)
+			} else {
+				w[j] = h
 				j++
 			}
-		}
-		for k := j; k < len(w); k++ {
-			w[k] = nil
 		}
 		c.window = w[:j]
 		c.zombies = 0
@@ -378,14 +368,15 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 // replaces the scan and must stay bit-identical to it.
 func (c *cluster) issue(s *Simulator, now int64, votes *stats.Votes) int {
 	issued := 0
-	for _, e := range c.window {
+	for _, h := range c.window {
 		if issued >= c.cfg.IssueWidth {
 			break
 		}
+		e := c.at(h)
 		if e.state != stateDispatched || now < e.eligibleAt {
 			continue
 		}
-		ready, memWait := e.sourcesReady(now)
+		ready, memWait := c.sourcesReady(e, now)
 		if !ready {
 			if memWait {
 				votes[stats.Memory]++
@@ -424,9 +415,9 @@ func (c *cluster) tryIssue(s *Simulator, e *entry, now int64, votes *stats.Votes
 	var completeAt int64
 	switch {
 	case e.isLoad:
-		st := e.forwardingStore()
+		st := c.forwardingStore(e)
 		if debugCheckForwarding {
-			if ref := c.forwardingStoreScan(e); ref != st {
+			if ref := c.forwardingStoreScan(s.threads[e.thread], e); ref != st {
 				panic(fmt.Sprintf("core: forwarding map %v disagrees with FIFO scan %v (load seq %d)", st, ref, e.seq))
 			}
 		}
@@ -445,7 +436,7 @@ func (c *cluster) tryIssue(s *Simulator, e *entry, now int64, votes *stats.Votes
 			if s.tr != nil {
 				pre = s.dirCounters()
 			}
-			dataReady, cls, ok := s.msys.Load(now, c.chip, e.d.Addr+e.thread.memBase)
+			dataReady, cls, ok := s.msys.Load(now, c.chip, e.d.Addr+s.threads[e.thread].memBase)
 			if !ok {
 				// MSHR file full: retry next cycle.
 				votes[stats.Memory]++
@@ -477,7 +468,7 @@ func (c *cluster) tryIssue(s *Simulator, e *entry, now int64, votes *stats.Votes
 
 	e.state = stateIssued
 	e.completeAt = completeAt
-	if t := e.thread; t.fifo[t.fifoHead] == e {
+	if t := s.threads[e.thread]; t.fifoFront().seq == e.seq {
 		t.frontEvent = completeAt
 	}
 	c.iqCount--
@@ -491,10 +482,9 @@ func (c *cluster) tryIssue(s *Simulator, e *entry, now int64, votes *stats.Votes
 // forwardingStoreScan is the reference FIFO scan behind
 // entry.forwardingStore's map-bound answer; kept for the equivalence
 // tests (wakeup_test.go) and the debugCheckForwarding cross-check.
-func (c *cluster) forwardingStoreScan(load *entry) *entry {
-	t := load.thread
+func (c *cluster) forwardingStoreScan(t *threadCtx, load *entry) *entry {
 	for i := len(t.fifo) - 1; i >= t.fifoHead; i-- {
-		e := t.fifo[i]
+		e := c.at(t.fifo[i])
 		if e.seq >= load.seq {
 			continue
 		}
@@ -518,9 +508,9 @@ func (c *cluster) unblock(s *Simulator, now int64) bool {
 	for _, t := range c.threads {
 		switch t.block {
 		case blockBranch:
-			if t.pendingBranch.done(now) {
+			if c.resolved(t.pendingBranch, now) {
 				t.block = blockNone
-				t.pendingBranch = nil
+				t.pendingBranch = handle{}
 				resumed = true
 			}
 		case blockLock:
@@ -659,20 +649,21 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 		if !inf.Pipel {
 			occ = int64(inf.Latency)
 		}
-		e := c.newEntry()
-		*e = entry{
-			d:          d,
-			thread:     t,
-			seq:        c.seq,
-			fetchedAt:  now,
-			eligibleAt: now + config.FrontEndDelay,
-			fuCl:       fc,
-			lat:        int64(inf.Latency),
-			occ:        occ,
-			isLoad:     inf.Class == isa.ClassLoad,
-			isStore:    inf.Class == isa.ClassStore,
-			isBranch:   inf.Branch,
-		}
+		slot := c.newSlot()
+		e := &c.pool[slot]
+		*e = entry{} // cleared in place: a composite literal would build and copy a temporary
+		e.d = d
+		e.thread = int32(t.id)
+		e.slot = slot
+		e.seq = c.seq
+		e.fetchedAt = now
+		e.eligibleAt = now + config.FrontEndDelay
+		e.fuCl = fc
+		e.lat = int64(inf.Latency)
+		e.occ = occ
+		e.isLoad = inf.Class == isa.ClassLoad
+		e.isStore = inf.Class == isa.ClassStore
+		e.isBranch = inf.Branch
 		c.seq++
 
 		// Wire register dependences to in-flight producers.
@@ -689,15 +680,16 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 		if inf.ReadsFS2 {
 			np = e.addProducer(t.lastWriterFP[in.FS2], np)
 		}
+		h := e.ref()
 		if needInt {
 			c.renameIntFree--
 			e.usesIntRename = true
-			t.lastWriterInt[in.RD] = e
+			t.lastWriterInt[in.RD] = h
 		}
 		if needFP {
 			c.renameFPFree--
 			e.usesFPRename = true
-			t.lastWriterFP[in.FD] = e
+			t.lastWriterFP[in.FD] = h
 		}
 
 		// Memory-dependence bookkeeping: stores publish themselves as
@@ -707,16 +699,16 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 		switch {
 		case e.isStore:
 			if t.lastStore == nil {
-				t.lastStore = make(map[int64]*entry)
+				t.lastStore = make(map[int64]handle)
 			}
-			t.lastStore[e.d.Addr] = e
+			t.lastStore[e.d.Addr] = h
 		case e.isLoad:
 			e.fwdStore = t.lastStore[e.d.Addr]
 		}
 
-		c.window = append(c.window, e)
+		c.window = append(c.window, h)
 		c.iqCount++
-		t.fifo = append(t.fifo, e)
+		t.fifo = append(t.fifo, h)
 		t.inWindow++
 		t.fetched++
 		s.traceEvent(now, c, "F", e)
@@ -768,7 +760,7 @@ func (c *cluster) handleBranch(t *threadCtx, e *entry, d interp.DynInstr) bool {
 	}
 	if e.mispredicted {
 		t.block = blockBranch
-		t.pendingBranch = e
+		t.pendingBranch = e.ref()
 		return true
 	}
 	return false

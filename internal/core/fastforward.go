@@ -80,7 +80,7 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, votes *stats.Votes)
 		case blockBranch:
 			// Resolution is the branch's completion; the branch entry is
 			// in flight, so the window scan below collects its event.
-			if t.pendingBranch.done(now) {
+			if cl.resolved(t.pendingBranch, now) {
 				return false, 0
 			}
 		case blockLock:
@@ -171,7 +171,8 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, votes *stats.Votes)
 // dispatched entry, the vote it would record this cycle, plus the
 // future cycles that could change the verdict.
 func quiescentIssueScan(cl *cluster, now int64, votes *stats.Votes, event func(int64)) bool {
-	for _, e := range cl.window {
+	for _, h := range cl.window {
+		e := cl.at(h)
 		if e.state != stateDispatched {
 			// Issued and not yet done: completion is this entry's event.
 			// Done but stuck behind program order: no event of its own.
@@ -185,7 +186,7 @@ func quiescentIssueScan(cl *cluster, now int64, votes *stats.Votes, event func(i
 			event(e.eligibleAt)
 			continue
 		}
-		ready, memWait := e.sourcesReady(now)
+		ready, memWait := cl.sourcesReady(e, now)
 		if !ready {
 			if memWait {
 				votes[stats.Memory]++
@@ -203,7 +204,7 @@ func quiescentIssueScan(cl *cluster, now int64, votes *stats.Votes, event func(i
 			continue
 		}
 		if e.isLoad {
-			if st := e.forwardingStore(); st != nil && !st.done(now) {
+			if st := cl.forwardingStore(e); st != nil && !st.done(now) {
 				// Store-to-load dependence through memory (tryIssue votes
 				// Data here); the store's completion is an event above.
 				votes[stats.Data]++
@@ -225,13 +226,14 @@ func quiescentIssueScan(cl *cluster, now int64, votes *stats.Votes, event func(i
 // would re-derive: ready entries are checked individually (their FU /
 // pending-store verdicts can change without a wheel event), waiting
 // entries vote in bulk, and the pending deque's head plus the wheel's
-// earliest bucket bound every front-end transition, producer
+// earliest wakeup bound every front-end transition, producer
 // completion and in-flight completion — so no wakeup fires strictly
 // inside a skip interval, which is what keeps the per-cycle votes
 // constant while quiescent.
 func quiescentIssueEvent(cl *cluster, now int64, votes *stats.Votes, event func(int64)) bool {
 	cl.drainEvents(now)
-	for _, e := range cl.ready {
+	for _, h := range cl.ready {
+		e := cl.at(h)
 		class := e.fuCl
 		if cl.freeUnit(class, now) < 0 {
 			votes[stats.Structural]++
@@ -239,7 +241,7 @@ func quiescentIssueEvent(cl *cluster, now int64, votes *stats.Votes, event func(
 			continue
 		}
 		if e.isLoad {
-			if st := e.forwardingStore(); st != nil && !st.done(now) {
+			if st := cl.forwardingStore(e); st != nil && !st.done(now) {
 				// The store's completion is a wheel event (wake pushes a
 				// self event at every issue).
 				votes[stats.Data]++
@@ -251,7 +253,7 @@ func quiescentIssueEvent(cl *cluster, now int64, votes *stats.Votes, event func(
 	votes[stats.Memory] += float64(cl.waitMemN)
 	votes[stats.Data] += float64(cl.waitDataN)
 	if cl.pendingHead < len(cl.pending) {
-		event(cl.pending[cl.pendingHead].eligibleAt)
+		event(cl.at(cl.pending[cl.pendingHead]).eligibleAt)
 	}
 	event(cl.wheel.min())
 	return true

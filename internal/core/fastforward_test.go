@@ -58,24 +58,42 @@ func runBothModes(t *testing.T, m config.Machine, build func() *prog.Program) (s
 // {scan, wakeup} issue stage × {stepped, fast-forward} cycle loop must
 // produce a Result that is bit-identical (reflect.DeepEqual — same
 // cycles, same float64 slot counts, every counter) to the scan ×
-// stepped reference. It also asserts the fast path actually engaged
-// somewhere, so the fast-forward legs are not vacuous.
+// stepped reference — plus a long-chain synthetic on the smallest
+// window, where entry-pool slots recycle under live stale handles. It
+// also asserts the fast path actually engaged somewhere, so the
+// fast-forward legs are not vacuous.
 func TestEventDrivenDifferential(t *testing.T) {
-	apps := []string{"ocean", "fmm"}
+	type input struct {
+		name  string
+		w     workloads.Workload
+		archs []config.Arch
+	}
+	var inputs []input
+	for _, app := range []string{"ocean", "fmm"} {
+		w, err := workloads.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{app, w, config.AllArchs})
+	}
+	// Pool-slot recycling: FA8's 16-entry windows hand every slot to a
+	// new instruction many times over, while a long carried FP chain
+	// keeps retired producers, stale lastWriter handles and wheel events
+	// in play across the reuse.
+	inputs = append(inputs, input{"recycle", workloads.Synthetic(workloads.SyntheticSpec{
+		ChainLen: 24, IndepOps: 1, MemOps: 2, FootprintKB: 64, Iters: 512, SerialIters: 64,
+	}), []config.Arch{config.FA8}})
+
 	var totalSkipped int64
-	for _, arch := range config.AllArchs {
-		for _, app := range apps {
-			w, err := workloads.ByName(app)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, in := range inputs {
+		for _, arch := range in.archs {
 			for _, highEnd := range []bool{false, true} {
 				m := config.LowEnd(arch)
 				if highEnd {
 					m = config.HighEnd(arch)
 				}
-				name := app + "/" + m.Name
-				t.Run(name, func(t *testing.T) {
+				w := in.w
+				t.Run(in.name+"/"+m.Name, func(t *testing.T) {
 					build := func() *prog.Program {
 						return w.Build(m.Threads(), m.Chips, workloads.SizeTest)
 					}

@@ -38,19 +38,19 @@ import (
 //   - Snapshots are taken between cycles (a fresh simulator, one paused
 //     by RunTo, or a completed one). Mid-cycle state (parallel runner,
 //     undrained store queues) is refused with ErrSnapshotUnsupported.
-//   - Pointer-linked window entries are serialized as one per-cluster
-//     universe: a deterministic worklist enumeration assigns each
-//     reachable entry an index, pointer fields encode as indices
-//     (-1 = nil), and decode rebuilds the graph in a single fresh slab.
+//   - Handle-linked window entries are serialized as one per-cluster
+//     universe: a deterministic worklist enumeration assigns each entry
+//     reachable through a live handle an index, handles encode as
+//     indices (-1 = nil; a retired handle reads as nil and is written
+//     as one), and decode rebuilds the cluster's entry pool from it.
 //     Static instruction words are NOT serialized: entry.d.Instr is
 //     re-derived from Program.Code[d.PC], which is what lets a prefix
 //     checkpoint restore under a different same-prefix program variant.
 //   - Ephemeral positions that do not affect behavior are normalized
 //     rather than preserved: fifo/pending head offsets restart at 0,
-//     the wakeup wheel's heap is rebuilt by pushing buckets in
-//     ascending cycle order (bucket keys are unique, so pop order — the
-//     only observable — is unchanged), arenas and free lists restart
-//     empty.
+//     the wakeup wheel is written in (cycle, seq) order and its heap
+//     rebuilt by pushing (same-cycle pop order is unobservable), and
+//     stale wheel events are dropped.
 //   - Decoding validates everything it reads (counts against remaining
 //     bytes, indices against ranges, enums against their bounds) and
 //     fails with a typed error instead of panicking; FuzzSnapshotDecode
@@ -632,38 +632,37 @@ func (s *Simulator) decodeSampler(r *snap.Reader) error {
 
 // ---- cluster section ----
 
-// entryUniverse enumerates every entry reachable from the cluster's
-// live structures in a deterministic order and assigns each an index.
-// Roots are visited in a fixed order (window, per-thread state, the
-// wakeup structures), then the worklist closes over the entries' own
-// pointer fields; committed-and-swept entries still referenced as
-// producers are therefore included.
-func (c *cluster) entryUniverse() ([]*entry, map[*entry]int32) {
-	var list []*entry
-	idx := make(map[*entry]int32)
-	add := func(e *entry) {
-		if e == nil {
+// entryUniverse enumerates every entry reachable through a live handle
+// from the cluster's structures in a deterministic order and assigns
+// each an index. Roots are visited in a fixed order (window, per-thread
+// state, the wakeup structures), then the worklist closes over the
+// entries' own handles; committed-and-swept entries whose slot is not
+// yet reused are therefore included, while retired handles reach
+// nothing and encode as nil — which is how they read. list holds the
+// universe's pool slots in index order; idx maps a slot to its index
+// plus one (0 = not in the universe).
+func (c *cluster) entryUniverse() (list, idx []int32) {
+	idx = make([]int32, len(c.pool))
+	add := func(h handle) {
+		if c.live(h) == nil || idx[h.slot] != 0 {
 			return
 		}
-		if _, ok := idx[e]; ok {
-			return
-		}
-		idx[e] = int32(len(list))
-		list = append(list, e)
+		list = append(list, h.slot)
+		idx[h.slot] = int32(len(list))
 	}
-	for _, e := range c.window {
-		add(e)
+	for _, h := range c.window {
+		add(h)
 	}
 	for _, t := range c.threads {
 		for i := t.fifoHead; i < len(t.fifo); i++ {
 			add(t.fifo[i])
 		}
 		add(t.pendingBranch)
-		for _, e := range t.lastWriterInt {
-			add(e)
+		for _, h := range t.lastWriterInt {
+			add(h)
 		}
-		for _, e := range t.lastWriterFP {
-			add(e)
+		for _, h := range t.lastWriterFP {
+			add(h)
 		}
 		for _, a := range sortedStoreAddrs(t.lastStore) {
 			add(t.lastStore[a])
@@ -672,16 +671,14 @@ func (c *cluster) entryUniverse() ([]*entry, map[*entry]int32) {
 	for i := c.pendingHead; i < len(c.pending); i++ {
 		add(c.pending[i])
 	}
-	for _, e := range c.ready {
-		add(e)
+	for _, h := range c.ready {
+		add(h)
 	}
-	for _, cy := range sortedWheelCycles(&c.wheel) {
-		for _, e := range c.wheel.buckets[cy] {
-			add(e)
-		}
+	for _, wk := range c.sortedWakeups() {
+		add(wk.e)
 	}
 	for i := 0; i < len(list); i++ {
-		e := list[i]
+		e := &c.pool[list[i]]
 		add(e.producers[0])
 		add(e.producers[1])
 		add(e.fwdStore)
@@ -692,7 +689,7 @@ func (c *cluster) entryUniverse() ([]*entry, map[*entry]int32) {
 	return list, idx
 }
 
-func sortedStoreAddrs(m map[int64]*entry) []int64 {
+func sortedStoreAddrs(m map[int64]handle) []int64 {
 	if len(m) == 0 {
 		return nil
 	}
@@ -704,25 +701,33 @@ func sortedStoreAddrs(m map[int64]*entry) []int64 {
 	return addrs
 }
 
-func sortedWheelCycles(w *wheel) []int64 {
-	if len(w.buckets) == 0 {
-		return nil
+// sortedWakeups returns the wheel's live wakeups in canonical order, by
+// cycle then seq: the heap's layout depends on push history, and the
+// order of same-cycle wakeups is unobservable (wakeup.go). Stale
+// (retired) wakeups are dropped, as a pop would drop them.
+func (c *cluster) sortedWakeups() []wakeup {
+	ws := make([]wakeup, 0, len(c.wheel))
+	for _, wk := range c.wheel {
+		if c.live(wk.e) != nil {
+			ws = append(ws, wk)
+		}
 	}
-	cycles := make([]int64, 0, len(w.buckets))
-	for cy := range w.buckets {
-		cycles = append(cycles, cy)
-	}
-	sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
-	return cycles
+	sort.Slice(ws, func(i, j int) bool {
+		if ws[i].cycle != ws[j].cycle {
+			return ws[i].cycle < ws[j].cycle
+		}
+		return ws[i].e.seq < ws[j].e.seq
+	})
+	return ws
 }
 
-// entryRef encodes a possibly-nil entry pointer as its universe index.
-func entryRef(w *snap.Writer, idx map[*entry]int32, e *entry) {
-	if e == nil {
+// entryRef encodes a handle as its universe index (-1 = nil or retired).
+func (c *cluster) entryRef(w *snap.Writer, idx []int32, h handle) {
+	if c.live(h) == nil {
 		w.Int(-1)
 		return
 	}
-	w.Int(int(idx[e]))
+	w.Int(int(idx[h.slot]) - 1)
 }
 
 func (c *cluster) encodeSnap(w *snap.Writer) {
@@ -767,7 +772,8 @@ func (c *cluster) encodeSnap(w *snap.Writer) {
 	// The entry universe.
 	list, idx := c.entryUniverse()
 	w.Int(len(list))
-	for _, e := range list {
+	for _, slot := range list {
+		e := &c.pool[slot]
 		w.U64(e.d.Seq)
 		w.I64(e.d.PC)
 		w.I64(e.d.Addr)
@@ -775,7 +781,7 @@ func (c *cluster) encodeSnap(w *snap.Writer) {
 		w.I64(e.d.Target)
 		ti := 0
 		for i, t := range c.threads {
-			if t == e.thread {
+			if t.id == int(e.thread) {
 				ti = i
 				break
 			}
@@ -800,18 +806,18 @@ func (c *cluster) encodeSnap(w *snap.Writer) {
 		w.U8(uint8(e.memClass))
 		w.U8(e.queued)
 		w.Bool(e.waitMem)
-		entryRef(w, idx, e.producers[0])
-		entryRef(w, idx, e.producers[1])
-		entryRef(w, idx, e.fwdStore)
-		entryRef(w, idx, e.firstCons)
-		entryRef(w, idx, e.consNext[0])
-		entryRef(w, idx, e.consNext[1])
+		c.entryRef(w, idx, e.producers[0])
+		c.entryRef(w, idx, e.producers[1])
+		c.entryRef(w, idx, e.fwdStore)
+		c.entryRef(w, idx, e.firstCons)
+		c.entryRef(w, idx, e.consNext[0])
+		c.entryRef(w, idx, e.consNext[1])
 	}
 
 	// Window (in order; includes committed zombies awaiting the sweep).
 	w.Int(len(c.window))
-	for _, e := range c.window {
-		entryRef(w, idx, e)
+	for _, h := range c.window {
+		c.entryRef(w, idx, h)
 	}
 
 	// Per-thread front-end state.
@@ -824,22 +830,22 @@ func (c *cluster) encodeSnap(w *snap.Writer) {
 		w.U64(t.fetched)
 		w.U64(t.committed)
 		w.Int(t.inWindow)
-		entryRef(w, idx, t.pendingBranch)
-		for _, e := range t.lastWriterInt {
-			entryRef(w, idx, e)
+		c.entryRef(w, idx, t.pendingBranch)
+		for _, h := range t.lastWriterInt {
+			c.entryRef(w, idx, h)
 		}
-		for _, e := range t.lastWriterFP {
-			entryRef(w, idx, e)
+		for _, h := range t.lastWriterFP {
+			c.entryRef(w, idx, h)
 		}
 		addrs := sortedStoreAddrs(t.lastStore)
 		w.Int(len(addrs))
 		for _, a := range addrs {
 			w.I64(a)
-			entryRef(w, idx, t.lastStore[a])
+			c.entryRef(w, idx, t.lastStore[a])
 		}
 		w.Int(t.fifoLen())
 		for i := t.fifoHead; i < len(t.fifo); i++ {
-			entryRef(w, idx, t.fifo[i])
+			c.entryRef(w, idx, t.fifo[i])
 		}
 		t.fn.EncodeArch(w)
 	}
@@ -847,27 +853,40 @@ func (c *cluster) encodeSnap(w *snap.Writer) {
 	// Wakeup structures.
 	w.Int(len(c.pending) - c.pendingHead)
 	for i := c.pendingHead; i < len(c.pending); i++ {
-		entryRef(w, idx, c.pending[i])
+		c.entryRef(w, idx, c.pending[i])
 	}
 	w.Int(len(c.ready))
-	for _, e := range c.ready {
-		entryRef(w, idx, e)
+	for _, h := range c.ready {
+		c.entryRef(w, idx, h)
 	}
-	cycles := sortedWheelCycles(&c.wheel)
-	w.Int(len(cycles))
-	for _, cy := range cycles {
-		b := c.wheel.buckets[cy]
-		w.I64(cy)
-		w.Int(len(b))
-		for _, e := range b {
-			entryRef(w, idx, e)
+	// The wheel, as one bucket of wakeups per pending cycle.
+	ws := c.sortedWakeups()
+	buckets := 0
+	for i := range ws {
+		if i == 0 || ws[i].cycle != ws[i-1].cycle {
+			buckets++
 		}
+	}
+	w.Int(buckets)
+	for i := 0; i < len(ws); {
+		j := i
+		for j < len(ws) && ws[j].cycle == ws[i].cycle {
+			j++
+		}
+		w.I64(ws[i].cycle)
+		w.Int(j - i)
+		for _, wk := range ws[i:j] {
+			c.entryRef(w, idx, wk.e)
+		}
+		i = j
 	}
 }
 
 // decodeSnap overlays an encoded cluster onto a freshly built one for
-// the same configuration, rebuilding the entry graph into a single
-// fresh slab. p supplies the static code the entries' instruction
+// the same configuration, rebuilding the entry pool from the universe:
+// entry i takes slot i+1, and the slots of entries outside the window
+// (committed and swept, still referenced) start on the free list. p
+// supplies the static code the entries' instruction
 // words are re-derived from.
 func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error {
 	c.seq = r.U64()
@@ -913,7 +932,7 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 		return fmt.Errorf("%w: fetch round-robin %d out of range", ErrSnapshotCorrupt, c.fetchRR)
 	}
 
-	// Entry universe: fields first, then pointer wiring.
+	// Entry universe: fields first, then handle wiring.
 	n := r.Int()
 	if r.Err() != nil {
 		return r.Err()
@@ -921,10 +940,12 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 	if n < 0 || n > r.Remaining() {
 		return fmt.Errorf("%w: entry count %d", ErrSnapshotCorrupt, n)
 	}
-	slab := make([]entry, n)
+	c.pool = make([]entry, n+1)
+	c.pool[0].seq = nilSeq
 	refs := make([][6]int, n)
-	for i := range slab {
-		e := &slab[i]
+	for i := range refs {
+		e := &c.pool[i+1]
+		e.slot = int32(i + 1)
 		e.d.Seq = r.U64()
 		e.d.PC = r.I64()
 		e.d.Addr = r.I64()
@@ -963,7 +984,7 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 		if ti < 0 || ti >= len(c.threads) {
 			return fmt.Errorf("%w: entry thread index %d", ErrSnapshotCorrupt, ti)
 		}
-		e.thread = c.threads[ti]
+		e.thread = int32(c.threads[ti].id)
 		if state > uint8(stateCompleted) {
 			return fmt.Errorf("%w: entry state %d", ErrSnapshotCorrupt, state)
 		}
@@ -980,23 +1001,33 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 			return fmt.Errorf("%w: entry queue state %d", ErrSnapshotCorrupt, e.queued)
 		}
 	}
-	ent := func(i int) (*entry, error) {
+	ent := func(i int) (handle, error) {
 		if i == -1 {
-			return nil, nil
+			return handle{}, nil
 		}
 		if i < 0 || i >= n {
-			return nil, fmt.Errorf("%w: entry reference %d of %d", ErrSnapshotCorrupt, i, n)
+			return handle{}, fmt.Errorf("%w: entry reference %d of %d", ErrSnapshotCorrupt, i, n)
 		}
-		return &slab[i], nil
+		return c.pool[i+1].ref(), nil
+	}
+	// member resolves a reference that must name a window entry (the
+	// fifo, pending and ready lists are subsets of the window).
+	inWindow := make([]bool, n+1)
+	member := func(i int, what string) (handle, error) {
+		h, err := ent(i)
+		if err == nil && !inWindow[h.slot] {
+			err = fmt.Errorf("%w: %s slot outside the window", ErrSnapshotCorrupt, what)
+		}
+		return h, err
 	}
 	var err error
-	wire := func(dst **entry, i int) {
+	wire := func(dst *handle, i int) {
 		if err == nil {
 			*dst, err = ent(i)
 		}
 	}
-	for i := range slab {
-		e := &slab[i]
+	for i := range refs {
+		e := &c.pool[i+1]
 		wire(&e.producers[0], refs[i][0])
 		wire(&e.producers[1], refs[i][1])
 		wire(&e.fwdStore, refs[i][2])
@@ -1016,19 +1047,26 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 	if wn < 0 || wn > n {
 		return fmt.Errorf("%w: window length %d of %d entries", ErrSnapshotCorrupt, wn, n)
 	}
-	c.window = make([]*entry, wn)
+	c.window = make([]handle, wn)
 	for i := range c.window {
-		e, werr := ent(r.Int())
+		h, werr := ent(r.Int())
 		if werr != nil {
 			return werr
 		}
-		if e == nil {
-			return fmt.Errorf("%w: nil window slot", ErrSnapshotCorrupt)
+		if h.isNil() || inWindow[h.slot] {
+			return fmt.Errorf("%w: nil or repeated window slot", ErrSnapshotCorrupt)
 		}
-		c.window[i] = e
+		inWindow[h.slot] = true
+		c.window[i] = h
 	}
 	if c.zombies < 0 || c.zombies > wn {
 		return fmt.Errorf("%w: zombie count %d of window %d", ErrSnapshotCorrupt, c.zombies, wn)
+	}
+	c.free = nil
+	for slot := int32(1); slot <= int32(n); slot++ {
+		if !inWindow[slot] {
+			c.free = append(c.free, slot)
+		}
 	}
 
 	// Per-thread front-end state.
@@ -1077,17 +1115,17 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 		}
 		t.lastStore = nil
 		if ls > 0 {
-			t.lastStore = make(map[int64]*entry, ls)
+			t.lastStore = make(map[int64]handle, ls)
 			for i := 0; i < ls; i++ {
 				a := r.I64()
-				e, serr := ent(r.Int())
+				h, serr := ent(r.Int())
 				if serr != nil {
 					return serr
 				}
-				if e == nil {
+				if h.isNil() {
 					return fmt.Errorf("%w: nil store-map entry", ErrSnapshotCorrupt)
 				}
-				t.lastStore[a] = e
+				t.lastStore[a] = h
 			}
 		}
 		fl := r.Int()
@@ -1097,17 +1135,12 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 		if fl < 0 || fl > n {
 			return fmt.Errorf("%w: fifo length %d", ErrSnapshotCorrupt, fl)
 		}
-		t.fifo = make([]*entry, fl)
+		t.fifo = make([]handle, fl)
 		t.fifoHead = 0
 		for i := range t.fifo {
-			e, ferr := ent(r.Int())
-			if ferr != nil {
-				return ferr
+			if t.fifo[i], err = member(r.Int(), "fifo"); err != nil {
+				return err
 			}
-			if e == nil {
-				return fmt.Errorf("%w: nil fifo slot", ErrSnapshotCorrupt)
-			}
-			t.fifo[i] = e
 		}
 		t.fn.DecodeArch(r)
 		if r.Err() != nil {
@@ -1115,9 +1148,8 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 		}
 	}
 
-	// Wakeup structures. The wheel is rebuilt by pushing buckets in
-	// ascending cycle order; bucket keys are unique per cycle, so the
-	// heap's internal layout is irrelevant to pop order.
+	// Wakeup structures. The wheel is rebuilt by pushing every wakeup;
+	// only its cycles order the pops.
 	pn := r.Int()
 	if r.Err() != nil {
 		return r.Err()
@@ -1125,17 +1157,12 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 	if pn < 0 || pn > n {
 		return fmt.Errorf("%w: pending length %d", ErrSnapshotCorrupt, pn)
 	}
-	c.pending = make([]*entry, pn)
+	c.pending = make([]handle, pn)
 	c.pendingHead = 0
 	for i := range c.pending {
-		e, perr := ent(r.Int())
-		if perr != nil {
-			return perr
+		if c.pending[i], err = member(r.Int(), "pending"); err != nil {
+			return err
 		}
-		if e == nil {
-			return fmt.Errorf("%w: nil pending slot", ErrSnapshotCorrupt)
-		}
-		c.pending[i] = e
 	}
 	rn := r.Int()
 	if r.Err() != nil {
@@ -1144,16 +1171,11 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 	if rn < 0 || rn > n {
 		return fmt.Errorf("%w: ready length %d", ErrSnapshotCorrupt, rn)
 	}
-	c.ready = make([]*entry, rn)
+	c.ready = make([]handle, rn)
 	for i := range c.ready {
-		e, rerr := ent(r.Int())
-		if rerr != nil {
-			return rerr
+		if c.ready[i], err = member(r.Int(), "ready"); err != nil {
+			return err
 		}
-		if e == nil {
-			return fmt.Errorf("%w: nil ready slot", ErrSnapshotCorrupt)
-		}
-		c.ready[i] = e
 	}
 	bn := r.Int()
 	if r.Err() != nil {
@@ -1162,7 +1184,7 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 	if bn < 0 || bn > r.Remaining() {
 		return fmt.Errorf("%w: wheel bucket count %d", ErrSnapshotCorrupt, bn)
 	}
-	c.wheel = wheel{}
+	c.wheel = nil
 	for i := 0; i < bn; i++ {
 		cy := r.I64()
 		bl := r.Int()
@@ -1173,14 +1195,14 @@ func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error 
 			return fmt.Errorf("%w: wheel bucket length %d", ErrSnapshotCorrupt, bl)
 		}
 		for j := 0; j < bl; j++ {
-			e, berr := ent(r.Int())
+			h, berr := ent(r.Int())
 			if berr != nil {
 				return berr
 			}
-			if e == nil {
+			if h.isNil() {
 				return fmt.Errorf("%w: nil wheel slot", ErrSnapshotCorrupt)
 			}
-			c.wheel.push(cy, e)
+			c.wheel.push(cy, h)
 		}
 	}
 	return r.Err()

@@ -10,16 +10,14 @@ import (
 // replaces the per-cycle full-window scan. When an entry issues it
 // pushes a wakeup onto each in-flight consumer — the inverse of the
 // entry.producers links — scheduled at its completeAt; a per-cluster
-// time-bucketed wakeup wheel re-evaluates woken entries and moves those
-// whose last producer resolved into a seq-ordered ready list, so
-// issueEvent pops oldest-first from ready entries only instead of
-// re-polling all WindowEntries every cycle. Entries still inside the
+// wakeup wheel (a min-heap of timed wakeups) re-evaluates woken entries
+// and moves those whose last producer resolved into a seq-ordered ready
+// list, so issueEvent pops oldest-first from ready entries only instead
+// of re-polling all WindowEntries every cycle. Entries still inside the
 // decode/rename delay sit in a plain FIFO deque (eligibleAt is
-// monotone in fetch order, so no wheel bucket is needed to order
-// them), and unready entries sit in an unsorted waiting set whose
-// memory/data hazard tallies are maintained incrementally — cheap
-// swap-removes instead of sorted-slice memmoves, whose pointer write
-// barriers would dominate the win.
+// monotone in fetch order, so the wheel is not needed to order them),
+// and unready entries exist only as memory/data hazard tallies
+// maintained incrementally.
 //
 // The contract is the same as fast-forward's (fastforward.go):
 // bit-identity, not approximation. The hazard votes the scan produced
@@ -34,8 +32,18 @@ import (
 // evaluate is therefore idempotent — guarded on state, eligibility and
 // current queue membership — and stale events (for entries that issued
 // or committed since being scheduled) fall through the state guard.
-// Window entries come from a bump-allocated arena and are never
-// recycled, so a stale pointer is always safe to inspect.
+//
+// Every structure here holds handles, not pointers, into the cluster's
+// recycled entry pool (entry.go), and the generation rule makes reuse
+// safe. A slot is freed only when the zombie sweep (commit, the first
+// stage of a cycle) removes its committed entry, and is refilled only
+// by fetch (the last stage), so every handle resolves to its own entry
+// at least until the end of the cycle its entry is swept in — in
+// particular, a completion event due that cycle still walks its
+// consumer chain. After the slot is reused the handle is retired and
+// reads as what its committed entry was: a producer is ready, a
+// forwarding candidate is nil, a resolved branch is done, and a wheel
+// event is dropped.
 
 // entry.queued states: membership in the cluster's issue bookkeeping.
 const (
@@ -44,57 +52,48 @@ const (
 	qReady                // sources resolved; an issue candidate
 )
 
-// wheel is a time-bucketed wakeup wheel: a bucket per pending cycle,
-// with the bucket keys in a hand-rolled int64 min-heap (no
-// container/heap to keep pushes allocation-free) and drained bucket
-// slices recycled through a free list.
-type wheel struct {
-	buckets map[int64][]*entry
-	cycles  []int64    // min-heap of pending bucket keys
-	free    [][]*entry // recycled bucket slices
+// wheel is the wakeup wheel: pending wakeups in a hand-rolled min-heap
+// keyed by cycle (no container/heap, so a push allocates nothing once
+// the backing array has grown). Wakeups due the same cycle pop in no
+// particular order, and need not: a drain's outcome is independent of
+// it, because evaluate reads only producer state — which no evaluation
+// changes — and files ready entries by seq.
+type wheel []wakeup
+
+// wakeup is one wheel event: re-evaluate (or, once done, walk the
+// consumers of) the entry e at cycle.
+type wakeup struct {
+	cycle int64
+	e     handle
 }
 
 // push schedules e for re-evaluation at the given cycle.
-func (w *wheel) push(cycle int64, e *entry) {
-	if w.buckets == nil {
-		w.buckets = make(map[int64][]*entry)
-	}
-	b, ok := w.buckets[cycle]
-	if !ok {
-		w.heapPush(cycle)
-		if n := len(w.free); n > 0 {
-			b = w.free[n-1]
-			w.free = w.free[:n-1]
-		}
-	}
-	w.buckets[cycle] = append(b, e)
-}
-
-// min returns the earliest pending bucket cycle, or noEvent when the
-// wheel is empty (the fast-forward next-event bound).
-func (w *wheel) min() int64 {
-	if len(w.cycles) == 0 {
-		return noEvent
-	}
-	return w.cycles[0]
-}
-
-func (w *wheel) heapPush(cy int64) {
-	h := append(w.cycles, cy)
+func (w *wheel) push(cycle int64, e handle) {
+	h := append(*w, wakeup{cycle, e})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if h[p] <= h[i] {
+		if h[p].cycle <= h[i].cycle {
 			break
 		}
 		h[p], h[i] = h[i], h[p]
 		i = p
 	}
-	w.cycles = h
+	*w = h
 }
 
-func (w *wheel) heapPop() int64 {
-	h := w.cycles
+// min returns the earliest pending wakeup cycle, or noEvent when the
+// wheel is empty (the fast-forward next-event bound).
+func (w wheel) min() int64 {
+	if len(w) == 0 {
+		return noEvent
+	}
+	return w[0].cycle
+}
+
+// pop removes and returns the earliest wakeup.
+func (w *wheel) pop() wakeup {
+	h := *w
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -102,10 +101,10 @@ func (w *wheel) heapPop() int64 {
 	i := 0
 	for {
 		l, r, small := 2*i+1, 2*i+2, i
-		if l < n && h[l] < h[small] {
+		if l < n && h[l].cycle < h[small].cycle {
 			small = l
 		}
-		if r < n && h[r] < h[small] {
+		if r < n && h[r].cycle < h[small].cycle {
 			small = r
 		}
 		if small == i {
@@ -114,67 +113,62 @@ func (w *wheel) heapPop() int64 {
 		h[i], h[small] = h[small], h[i]
 		i = small
 	}
-	w.cycles = h
+	*w = h
 	return top
 }
 
 // drainEvents processes every pending entry past its front-end delay
-// and every wheel bucket due by cycle now, re-evaluating each woken
+// and every wakeup due by cycle now, re-evaluating each woken
 // entry. Draining is idempotent at a fixed cycle — it is exactly what
 // issueEvent does first — so the fast-forward quiescence probe may
 // drain early without perturbing a subsequent step.
 func (c *cluster) drainEvents(now int64) {
-	// Popped slots are left holding their stale pointers rather than
-	// nil'ed: a nil store is still a barriered pointer write, and the
-	// slots are recycled (append overwrites them), so the anchoring is
-	// bounded by the slices' capacity — entries sever their own producer
-	// links at commit, so nothing transitive hangs off them.
-	for c.pendingHead < len(c.pending) && c.pending[c.pendingHead].eligibleAt <= now {
-		e := c.pending[c.pendingHead]
+	for c.pendingHead < len(c.pending) && c.at(c.pending[c.pendingHead]).eligibleAt <= now {
+		h := c.pending[c.pendingHead]
 		c.pendingHead++
-		c.evaluate(e, now)
+		c.evaluate(h, now)
 	}
-	if c.pendingHead == len(c.pending) {
-		c.pending = c.pending[:0]
+	if c.pendingHead > 0 && c.pendingHead*2 >= len(c.pending) {
+		// Slide the live tail down so appends reuse the capacity.
+		n := copy(c.pending, c.pending[c.pendingHead:])
+		c.pending = c.pending[:n]
 		c.pendingHead = 0
 	}
-	for len(c.wheel.cycles) > 0 && c.wheel.cycles[0] <= now {
-		cy := c.wheel.heapPop()
-		b := c.wheel.buckets[cy]
-		delete(c.wheel.buckets, cy)
-		for _, x := range b {
-			if x.state == stateDispatched {
-				// A wakeup scheduled for x itself (dispatchEvent saw an
-				// already-issued producer).
-				c.evaluate(x, now)
-				continue
-			}
-			if !x.done(now) {
-				// Stale wakeup for an entry that issued since it was
-				// scheduled; its own completion event (wake) will walk
-				// the consumers.
-				continue
-			}
-			// x's completion: wake its consumer chain. Every consumer
-			// is still dispatched here — it cannot have issued before
-			// x was done, and this walk runs before any issue at the
-			// first cycle that sees x done (fast-forward never skips
-			// past wheel.min()) — so the producer links that select
-			// the next-pointer slot are intact.
-			cur := x.firstCons
-			x.firstCons = nil // chains are walked exactly once
-			for cur != nil {
-				var next *entry
-				if cur.producers[0] == x {
-					next = cur.consNext[0]
-				} else {
-					next = cur.consNext[1]
-				}
-				c.evaluate(cur, now)
-				cur = next
-			}
+	for len(c.wheel) > 0 && c.wheel[0].cycle <= now {
+		xh := c.wheel.pop().e
+		x := c.live(xh)
+		if x == nil {
+			continue // retired: a stale event
 		}
-		c.wheel.free = append(c.wheel.free, b[:0])
+		if x.state == stateDispatched {
+			// A wakeup scheduled for x itself (dispatchEvent saw an
+			// already-issued producer).
+			c.evaluate(xh, now)
+			continue
+		}
+		if !x.done(now) {
+			// Stale wakeup for an entry that issued since it was
+			// scheduled; its own completion event (wake) will walk
+			// the consumers.
+			continue
+		}
+		// x's completion: wake its consumer chain. Every consumer
+		// is still dispatched here — it cannot have issued before
+		// x was done, and this walk runs before any issue at the
+		// first cycle that sees x done (fast-forward never skips
+		// past wheel.min()) — so the producer links that select
+		// the next-link slot are intact.
+		cur := x.firstCons
+		x.firstCons = handle{} // chains are walked exactly once
+		for !cur.isNil() {
+			ce := c.at(cur)
+			next := ce.consNext[1]
+			if ce.producers[0] == xh {
+				next = ce.consNext[0]
+			}
+			c.evaluate(cur, now)
+			cur = next
+		}
 	}
 }
 
@@ -184,15 +178,16 @@ func (c *cluster) drainEvents(now int64) {
 // the same sourcesReady verdict the scan re-derives per cycle,
 // computed only when an event can have changed it. Waiting entries
 // exist only as the aggregate waitMemN/waitDataN tallies plus per-
-// entry flags (no list: maintaining one costs a pointer write barrier
-// per transition, which is the scan's whole cost re-spent); the rare
+// entry flags (no list: maintaining one costs a removal per transition,
+// which re-spends much of the scan's cost); the rare
 // per-entry walk waitingVotes needs is over the seq-ordered window.
 // Producers never become un-done, so ready is terminal until issue.
-func (c *cluster) evaluate(e *entry, now int64) {
+func (c *cluster) evaluate(h handle, now int64) {
+	e := c.at(h)
 	if e.state != stateDispatched || now < e.eligibleAt || e.queued == qReady {
 		return
 	}
-	ready, memWait := e.sourcesReady(now)
+	ready, memWait := c.sourcesReady(e, now)
 	if ready {
 		if e.queued == qWaiting {
 			if e.waitMem {
@@ -202,7 +197,7 @@ func (c *cluster) evaluate(e *entry, now int64) {
 			}
 		}
 		e.queued = qReady
-		c.ready = insertBySeq(c.ready, e)
+		c.ready = insertBySeq(c.ready, h)
 		return
 	}
 	if e.queued == qNone {
@@ -230,14 +225,14 @@ func (c *cluster) evaluate(e *entry, now int64) {
 	}
 }
 
-// insertBySeq inserts e into the seq-sorted ready list. The ready set
+// insertBySeq inserts h into the seq-sorted ready list. The ready set
 // is small — entries leave it the cycle their FU is free — so a binary
-// search plus short memmove beats a heap's pointer churn.
-func insertBySeq(list []*entry, e *entry) []*entry {
-	i := sort.Search(len(list), func(j int) bool { return list[j].seq > e.seq })
-	list = append(list, nil)
+// search over the handles' own seqs plus a short memmove beats a heap.
+func insertBySeq(list []handle, h handle) []handle {
+	i := sort.Search(len(list), func(j int) bool { return list[j].seq > h.seq })
+	list = append(list, handle{})
 	copy(list[i+1:], list[i:])
-	list[i] = e
+	list[i] = h
 	return list
 }
 
@@ -249,29 +244,32 @@ func insertBySeq(list []*entry, e *entry) []*entry {
 // whose pop at eligibleAt is the first cycle the scan path would look
 // at it.
 func (c *cluster) dispatchEvent(e *entry) {
-	for k, p := range e.producers {
-		if p == nil || (k == 1 && e.producers[0] == p) {
-			// Slot 1 duplicating slot 0 (both sources read the same
-			// in-flight result) must link only once.
+	h := e.ref()
+	for k, ph := range e.producers {
+		p := c.live(ph)
+		if p == nil || (k == 1 && e.producers[0] == ph) {
+			// Nil or retired (long done), or slot 1 duplicating slot 0
+			// (both sources read the same in-flight result), which must
+			// link only once.
 			continue
 		}
 		if p.state == stateDispatched {
 			e.consNext[k] = p.firstCons
-			p.firstCons = e
+			p.firstCons = h
 		} else if p.completeAt > e.eligibleAt {
-			c.wheel.push(p.completeAt, e)
+			c.wheel.push(p.completeAt, h)
 		}
 		// Producers already done by eligibleAt are covered by the
 		// pending pop below.
 	}
-	c.pending = append(c.pending, e)
+	c.pending = append(c.pending, h)
 }
 
 // wake fires when e issues: its completion becomes a wheel event — the
 // consumer-chain walk, the fast-forward next-event bound, and the
 // commit-progress signal even when nothing reads the result.
 func (c *cluster) wake(e *entry) {
-	c.wheel.push(e.completeAt, e)
+	c.wheel.push(e.completeAt, e.ref())
 }
 
 // issueEvent is the wakeup-path issue stage: drain due events, then
@@ -288,25 +286,25 @@ func (c *cluster) issueEvent(s *Simulator, now int64, votes *stats.Votes) int {
 	broke := false
 	var breakSeq uint64
 	kept := c.ready[:0]
-	for i, e := range c.ready {
+	for i, h := range c.ready {
 		if issued >= c.cfg.IssueWidth {
 			// The scan would not visit these: keep them, no votes.
 			// Writes into kept trail i, so this forward copy is safe.
 			kept = append(kept, c.ready[i:]...)
 			break
 		}
-		if c.tryIssue(s, e, now, votes) {
+		if e := c.at(h); c.tryIssue(s, e, now, votes) {
 			e.queued = qNone
 			issued++
 			if issued >= c.cfg.IssueWidth {
 				broke = true
-				breakSeq = e.seq
+				breakSeq = h.seq
 			}
 		} else {
-			kept = append(kept, e)
+			kept = append(kept, h)
 		}
 	}
-	c.ready = kept // stale tail slots: same bounded-anchoring story as drainEvents
+	c.ready = kept
 	c.waitingVotes(votes, broke, breakSeq)
 	return issued
 }
@@ -326,11 +324,11 @@ func (c *cluster) waitingVotes(votes *stats.Votes, broke bool, breakSeq uint64) 
 		return
 	}
 	mem, data := 0, 0
-	for _, e := range c.window {
-		if e.seq >= breakSeq {
+	for _, h := range c.window {
+		if h.seq >= breakSeq {
 			break
 		}
-		if e.state == stateDispatched && e.queued == qWaiting {
+		if e := c.at(h); e.state == stateDispatched && e.queued == qWaiting {
 			if e.waitMem {
 				mem++
 			} else {

@@ -48,10 +48,11 @@ func TestStoreForwardingMap(t *testing.T) {
 	s.step() // cycle 0 fetches the whole straight-line body
 
 	th := s.threads[0]
+	cl := th.cluster
 	var stores []*entry
 	var load *entry
 	for i := th.fifoHead; i < len(th.fifo); i++ {
-		e := th.fifo[i]
+		e := cl.at(th.fifo[i])
 		if e.isStore {
 			stores = append(stores, e)
 		}
@@ -62,14 +63,14 @@ func TestStoreForwardingMap(t *testing.T) {
 	if len(stores) != 3 || load == nil {
 		t.Fatalf("fetch did not dispatch the kernel in one cycle: %d stores, load %v", len(stores), load)
 	}
-	if load.fwdStore != stores[1] {
+	if load.fwdStore != stores[1].ref() {
 		t.Errorf("load bound store seq %d as forwarding candidate, want the younger same-address store seq %d",
 			load.fwdStore.seq, stores[1].seq)
 	}
-	if got := th.lastStore[stores[0].d.Addr]; got != stores[1] {
+	if got := th.lastStore[stores[0].d.Addr]; got != stores[1].ref() {
 		t.Errorf("lastStore[a] = seq %d, want the younger store seq %d", got.seq, stores[1].seq)
 	}
-	if got, want := load.forwardingStore(), th.cluster.forwardingStoreScan(load); got != want {
+	if got, want := cl.forwardingStore(load), cl.forwardingStoreScan(th, load); got != want {
 		t.Errorf("map answer %v disagrees with reference FIFO scan %v", got, want)
 	}
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -437,11 +438,22 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxJobSpecBytes caps a POST /v1/jobs body: a JobSpec is four short
+// fields, and even the longest canonical synth(...) name is under 100
+// bytes. Larger bodies are refused with 413 before they are buffered.
+const maxJobSpecBytes = 4 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	arrived := time.Now()
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad job spec: %w", err))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("service: bad job spec: %w", err))
 		return
 	}
 	rj, err := spec.Resolve(s.opts.DefaultSize)

@@ -301,18 +301,39 @@ func TestServiceDiskCacheSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestServiceBadRequests pins the submission-time error paths.
+// TestServiceBadRequests pins the submission-time error paths,
+// including the input bounds: out-of-range synth(...) specs (a 1 TiB
+// footprint, negative knobs) are refused before anything is built,
+// unknown JSON fields are 400, and an oversized body is 413.
 func TestServiceBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for _, tc := range []JobSpec{
 		{App: "nonesuch", Arch: "SMT2"},
 		{App: "swim", Arch: "XJ9"},
 		{App: "swim", Arch: "SMT2", Size: "huge"},
+		{App: "synth(p1,c1,i1,m1,f1073741824,n1,s1,t1)", Arch: "SMT2"},
+		{App: "synth(p-5,c-1,i1,m1,f16,n1,s1,t1)", Arch: "SMT2"},
 	} {
 		status, _, _ := submit(t, ts, tc)
 		if status != http.StatusBadRequest {
 			t.Fatalf("%+v: status %d, want 400", tc, status)
 		}
+	}
+	postRaw := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if status := postRaw(`{"app":"swim","arch":"SMT2","priority":9}`); status != http.StatusBadRequest {
+		t.Fatalf("unknown field: status %d, want 400", status)
+	}
+	huge := `{"app":"swim","arch":"` + strings.Repeat("S", maxJobSpecBytes) + `"}`
+	if status := postRaw(huge); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: status %d, want 413", len(huge), status)
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")
 	if err != nil {

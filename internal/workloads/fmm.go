@@ -179,18 +179,16 @@ func buildFmm(threads, chips int, size Size) *prog.Program {
 	return pr
 }
 
-var cellSeq int
-
 // emitCellLocked wraps body in lock/unlock of lock id 10+cell, where
 // cell (0..fmmCells-1) is a runtime value in reg. Lock ids are
 // instruction immediates, so this emits a small dispatch over the
 // possible cells — the shape a real runtime's lock-array indexing
 // would compile to on this ISA.
 func emitCellLocked(b *prog.Builder, cellReg isa.Reg, body func()) {
-	cellSeq++
-	done := labelf(".cell%d_done", cellSeq)
+	seq := b.Seq()
+	done := labelf(".cell%d_done", seq)
 	for c := int64(0); c < fmmCells; c++ {
-		next := labelf(".cell%d_n%d", cellSeq, c)
+		next := labelf(".cell%d_n%d", seq, c)
 		b.Li(rT0, c)
 		b.Bne(cellReg, rT0, next)
 		b.Lock(10 + c)

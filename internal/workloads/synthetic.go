@@ -53,6 +53,44 @@ type SyntheticSpec struct {
 	WarmupIters int64
 }
 
+// Bounds on a SyntheticSpec (Validate). The footprint is allocated and
+// initialized up front when the program is built, the body knobs unroll
+// into instructions per iteration, and the iteration knobs set the run
+// length, so each is capped well above any sweep in this repository but
+// far below what would exhaust a host.
+const (
+	MaxSyntheticParCap      = 8       // contexts per 8: 8 is already "all"
+	MaxSyntheticBodyOps     = 64      // ChainLen, IndepOps, MemOps
+	MaxSyntheticFootprintKB = 8 << 10 // 8 MiB, 8x the chip L2
+	MaxSyntheticIters       = 1 << 20 // Iters, SerialIters, WarmupIters
+	MaxSyntheticSteps       = 1024
+)
+
+// Validate reports an error unless every knob is non-negative and
+// within its cap. Zero still means "default" wherever withDefaults
+// says so.
+func (s SyntheticSpec) Validate() error {
+	for _, f := range []struct {
+		name   string
+		v, max int64
+	}{
+		{"ParCap", int64(s.ParCap), MaxSyntheticParCap},
+		{"ChainLen", int64(s.ChainLen), MaxSyntheticBodyOps},
+		{"IndepOps", int64(s.IndepOps), MaxSyntheticBodyOps},
+		{"MemOps", int64(s.MemOps), MaxSyntheticBodyOps},
+		{"FootprintKB", int64(s.FootprintKB), MaxSyntheticFootprintKB},
+		{"Iters", s.Iters, MaxSyntheticIters},
+		{"SerialIters", s.SerialIters, MaxSyntheticIters},
+		{"Steps", s.Steps, MaxSyntheticSteps},
+		{"WarmupIters", s.WarmupIters, MaxSyntheticIters},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("workloads: synthetic %s = %d outside [0, %d]", f.name, f.v, f.max)
+		}
+	}
+	return nil
+}
+
 func (s SyntheticSpec) withDefaults() SyntheticSpec {
 	if s.FootprintKB <= 0 {
 		s.FootprintKB = 16
@@ -80,7 +118,7 @@ func Synthetic(spec SyntheticSpec) Workload {
 		// The name encodes the full defaulted spec: harness.Suite keys
 		// its run cache by workload name, so two distinct specs must
 		// never share one (and two equal specs always do).
-		Name: syntheticName(spec),
+		Name:        syntheticName(spec),
 		Description: "parameterized synthetic workload (threads x ILP plane generator)",
 		ParCap:      spec.ParCap,
 		Build: func(threads, chips int, size Size) *prog.Program {
@@ -107,7 +145,8 @@ func syntheticName(spec SyntheticSpec) string {
 // the serving subsystem can accept sweep-grid jobs by name. Only
 // canonical names round-trip (the parsed spec must render back to
 // exactly the input), which keeps one name per spec and the service's
-// content-addressed hashes unambiguous.
+// content-addressed hashes unambiguous, and only specs that pass
+// Validate resolve — names arrive from the network.
 func ParseSynthetic(name string) (Workload, error) {
 	body, ok := strings.CutPrefix(name, "synth(")
 	if ok {
@@ -141,6 +180,9 @@ func ParseSynthetic(name string) (Workload, error) {
 		ParCap: int(v[0]), ChainLen: int(v[1]), IndepOps: int(v[2]),
 		MemOps: int(v[3]), FootprintKB: int(v[4]), Iters: v[5],
 		SerialIters: v[6], Steps: v[7], WarmupIters: v[8],
+	}
+	if err := spec.Validate(); err != nil {
+		return Workload{}, fmt.Errorf("%w (in %q)", err, name)
 	}
 	w := Synthetic(spec)
 	if w.Name != name {

@@ -147,3 +147,53 @@ func TestParseSynthetic(t *testing.T) {
 		}
 	}
 }
+
+// TestSyntheticValidate pins the spec bounds: the reproducers of an
+// unbounded footprint and of negative knobs are refused by Validate,
+// ParseSynthetic and ByName alike, while every cap admits the largest
+// spec the repository's sweeps and benchmark generate.
+func TestSyntheticValidate(t *testing.T) {
+	for _, name := range []string{
+		"synth(p1,c1,i1,m1,f1073741824,n1,s1,t1)", // 1 TiB footprint
+		"synth(p-5,c-1,i1,m1,f16,n1,s1,t1)",       // negative knobs
+		"synth(p0,c0,i0,m1,f16,n4096,s-3,t2)",
+		"synth(p0,c0,i0,m1,f16,n4096,s0,t2,w2000000)",
+		"synth(p9,c0,i0,m1,f16,n4096,s0,t2)",
+		"synth(p0,c65,i0,m1,f16,n4096,s0,t2)",
+	} {
+		if _, err := ParseSynthetic(name); err == nil {
+			t.Errorf("ParseSynthetic(%q) accepted an out-of-range spec", name)
+		}
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) accepted an out-of-range spec", name)
+		}
+	}
+	for _, bad := range []SyntheticSpec{
+		{FootprintKB: -1},
+		{Iters: MaxSyntheticIters + 1},
+		{Steps: MaxSyntheticSteps + 1},
+		{MemOps: MaxSyntheticBodyOps + 1},
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("Validate(%+v) = nil, want an error", bad)
+		}
+	}
+	for _, ok := range []SyntheticSpec{
+		{},
+		// The largest knobs the benchmark's serve and sweep workloads
+		// and cmd/sweep draw.
+		{ParCap: 6, ChainLen: 8, IndepOps: 6, MemOps: 3, FootprintKB: 128,
+			Iters: 2048, SerialIters: 32, Steps: 2, WarmupIters: 5520},
+		{ParCap: MaxSyntheticParCap, ChainLen: MaxSyntheticBodyOps, IndepOps: MaxSyntheticBodyOps,
+			MemOps: MaxSyntheticBodyOps, FootprintKB: MaxSyntheticFootprintKB, Iters: MaxSyntheticIters,
+			SerialIters: MaxSyntheticIters, Steps: MaxSyntheticSteps, WarmupIters: MaxSyntheticIters},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", ok, err)
+		}
+		name := Synthetic(ok).Name
+		if _, err := ParseSynthetic(name); err != nil {
+			t.Errorf("ParseSynthetic(%q): %v", name, err)
+		}
+	}
+}
