@@ -475,67 +475,6 @@ func BenchmarkCoreMemory(b *testing.B) {
 	}
 }
 
-// buildFPStream is the parallel execution mode's motivating workload:
-// every one of the 32 contexts grinds twelve independent FP multiply
-// chains with no memory traffic at all, so each chip's clusters issue
-// at full width every cycle and no load can ever reach the directory —
-// the per-cycle chip phases run concurrently for essentially the whole
-// run, and the per-cycle work dwarfs the two rendezvous the coordinator
-// pays per cycle.
-func buildFPStream(iters int64) *clustersmt.Program {
-	b := clustersmt.NewProgram("fpstream")
-	b.GlobalWords("nthreads", []uint64{32})
-	for k := 1; k <= 12; k++ {
-		b.Fli(isa.Reg(k), 1.0+float64(k)/16)
-	}
-	b.Fli(15, 1.0001)
-	b.Li(9, 0)
-	b.Li(10, iters)
-	b.CountedLoop(9, 10, func() {
-		for k := 1; k <= 12; k++ {
-			b.Fmul(isa.Reg(k), isa.Reg(k), 15)
-		}
-	})
-	b.Halt()
-	return b.MustBuild()
-}
-
-func runFPStream(parallel bool) (*clustersmt.Result, error) {
-	sim, err := clustersmt.NewSimulator(clustersmt.HighEnd(clustersmt.SMT2), buildFPStream(3000))
-	if err != nil {
-		return nil, err
-	}
-	sim.Parallel = parallel
-	return sim.Run()
-}
-
-// BenchmarkCoreParallel compares the sequential cycle loop against the
-// per-chip parallel execution mode on the FP-streaming workload
-// (results are bit-identical; see internal/core/parallel_test.go). The
-// sim-cycles/s metric is the one recorded in BENCH_core.json. Only
-// meaningful with GOMAXPROCS >= 4 (one host core per simulated chip).
-func BenchmarkCoreParallel(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{
-		{"sequential", false},
-		{"parallel", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				res, err := runFPStream(mode.parallel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-		})
-	}
-}
-
 // runObsOverhead runs the memory-bound paper workload with the
 // observability subsystem either fully off (the default: one nil check
 // per cycle) or sampling a frame every DefaultMetricsInterval cycles
@@ -919,39 +858,40 @@ func readBenchRecords(path string) map[string]json.RawMessage {
 	return out
 }
 
-// parallelHostShape is the subset of a BenchmarkCoreParallel record the
-// recorder guard reads: how much host parallelism the measurement had.
-type parallelHostShape struct {
+// hostShape is the subset of a host-parallelism-sensitive record (today
+// BenchmarkFabricScaleOut) the recorder guard reads: how much host
+// parallelism the measurement had.
+type hostShape struct {
 	HostCPUs   int `json:"host_cpus"`
 	GoMaxProcs int `json:"gomaxprocs"`
 }
 
-// subFloorParallel reports whether a parallel measurement lacked the
-// host parallelism its 2x floor assumes (>= 4 CPUs and >= 4 procs, one
+// subFloorHost reports whether a measurement lacked the host
+// parallelism its 2x floor assumes (>= 4 CPUs and >= 4 procs, one
 // per simulated chip).
-func subFloorParallel(s parallelHostShape) bool {
+func subFloorHost(s hostShape) bool {
 	return s.HostCPUs < 4 || s.GoMaxProcs < 4
 }
 
-// keepExistingParallel decides whether the recorder must keep an
-// existing BenchmarkCoreParallel record instead of replacing it: a
+// keepExistingRecord decides whether the recorder must keep an
+// existing host-parallelism-sensitive record instead of replacing it: a
 // number measured with real host parallelism must never be clobbered by
 // a sub-floor re-run (a 1-CPU CI container would otherwise silently
 // replace the honest multi-core speedup with host-starvation noise).
-func keepExistingParallel(existing, fresh parallelHostShape) bool {
-	return !subFloorParallel(existing) && subFloorParallel(fresh)
+func keepExistingRecord(existing, fresh hostShape) bool {
+	return !subFloorHost(existing) && subFloorHost(fresh)
 }
 
-// TestBenchParallelRecorderGuard pins the recorder's merge policy for
-// the host-parallelism-sensitive entry.
-func TestBenchParallelRecorderGuard(t *testing.T) {
-	big := parallelHostShape{HostCPUs: 8, GoMaxProcs: 8}
-	floor := parallelHostShape{HostCPUs: 4, GoMaxProcs: 4}
-	oneCPU := parallelHostShape{HostCPUs: 1, GoMaxProcs: 1}
-	starved := parallelHostShape{HostCPUs: 8, GoMaxProcs: 3}
+// TestBenchHostShapeRecorderGuard pins the recorder's merge policy for
+// the host-parallelism-sensitive entries.
+func TestBenchHostShapeRecorderGuard(t *testing.T) {
+	big := hostShape{HostCPUs: 8, GoMaxProcs: 8}
+	floor := hostShape{HostCPUs: 4, GoMaxProcs: 4}
+	oneCPU := hostShape{HostCPUs: 1, GoMaxProcs: 1}
+	starved := hostShape{HostCPUs: 8, GoMaxProcs: 3}
 	for _, tc := range []struct {
 		name            string
-		existing, fresh parallelHostShape
+		existing, fresh hostShape
 		keep            bool
 	}{
 		{"sub-floor must not clobber a real measurement", big, oneCPU, true},
@@ -961,8 +901,8 @@ func TestBenchParallelRecorderGuard(t *testing.T) {
 		{"a real re-run upgrades a sub-floor record", oneCPU, big, false},
 		{"sub-floor may refresh sub-floor", oneCPU, oneCPU, false},
 	} {
-		if got := keepExistingParallel(tc.existing, tc.fresh); got != tc.keep {
-			t.Errorf("%s: keepExistingParallel(%+v, %+v) = %v, want %v",
+		if got := keepExistingRecord(tc.existing, tc.fresh); got != tc.keep {
+			t.Errorf("%s: keepExistingRecord(%+v, %+v) = %v, want %v",
 				tc.name, tc.existing, tc.fresh, got, tc.keep)
 		}
 	}
@@ -987,11 +927,11 @@ func TestBenchParallelRecorderGuard(t *testing.T) {
 }
 
 // TestWriteBenchCoreJSON records the fast-forward, wakeup, memory-path,
-// observability, parallel-execution, checkpoint-forking and fabric
+// observability, checkpoint-forking and fabric
 // scale-out measurements in BENCH_core.json (run via `make bench`;
 // gated so ordinary test runs stay hermetic and fast). The recorder
 // merges with the existing file for the host-parallelism-sensitive
-// entries: see keepExistingParallel.
+// entries: see keepExistingRecord.
 func TestWriteBenchCoreJSON(t *testing.T) {
 	if os.Getenv("WRITE_BENCH") == "" {
 		t.Skip("set WRITE_BENCH=1 (make bench) to write BENCH_core.json")
@@ -1100,63 +1040,10 @@ func TestWriteBenchCoreJSON(t *testing.T) {
 		t.Fatalf("sampling costs %.2fx throughput; observability must stay cheap", 1/obsReport.Speedup)
 	}
 
-	// Entry 5: per-chip parallel execution on the FP-streaming workload.
-	// The speedup is host-parallelism: one goroutine per simulated chip,
-	// so the >= 2x floor only holds when the Go scheduler has at least
-	// four procs to spread the high-end machine's four chips over. On
-	// smaller hosts the entry still records the honest measurement
-	// (host_cpus/gomaxprocs say how to read it) — there the win shrinks
-	// to the parallel path's cheaper no-directory accounting, and an
-	// oversubscribed GOMAXPROCS > NumCPU host can even lose to spin-
-	// rendezvous thrash.
-	parSeq, parCycles := bestOf(t, reps, func() (*clustersmt.Result, error) { return runFPStream(false) })
-	parPar, _ := bestOf(t, reps, func() (*clustersmt.Result, error) { return runFPStream(true) })
-	parReport := struct {
-		benchEntry
-		SequentialCyclesSec float64 `json:"sequential_sim_cycles_per_sec"`
-		ParallelCyclesSec   float64 `json:"parallel_sim_cycles_per_sec"`
-		HostCPUs            int     `json:"host_cpus"`
-		GoMaxProcs          int     `json:"gomaxprocs"`
-		Note                string  `json:"note,omitempty"`
-	}{
-		benchEntry: benchEntry{
-			Benchmark: "BenchmarkCoreParallel",
-			Machine:   clustersmt.HighEnd(clustersmt.SMT2).Name,
-			Workload:  "fpstream (32 contexts x 12 independent FP multiply chains, zero memory traffic; sequential cycle loop vs one goroutine per chip)",
-			SimCycles: parCycles,
-			Speedup:   parSeq.Seconds() / parPar.Seconds(),
-		},
-		SequentialCyclesSec: float64(parCycles) / parSeq.Seconds(),
-		ParallelCyclesSec:   float64(parCycles) / parPar.Seconds(),
-		HostCPUs:            runtime.NumCPU(),
-		GoMaxProcs:          runtime.GOMAXPROCS(0),
-	}
-	freshShape := parallelHostShape{HostCPUs: parReport.HostCPUs, GoMaxProcs: parReport.GoMaxProcs}
-	if parReport.GoMaxProcs >= 4 && parReport.HostCPUs >= 4 {
-		if parReport.Speedup < 2.0 {
-			t.Fatalf("parallel speedup %.2fx below the 2x floor with %d procs on %d CPUs", parReport.Speedup, parReport.GoMaxProcs, parReport.HostCPUs)
-		}
-	} else {
-		parReport.Note = fmt.Sprintf("sub-floor host (%d CPUs, GOMAXPROCS=%d): the 2x parallel floor needs >= 4 of each; speedup recorded unenforced", parReport.HostCPUs, parReport.GoMaxProcs)
-		t.Logf("host has %d CPUs / GOMAXPROCS=%d; the 2x parallel floor needs >= 4 of each, recording %.2fx unenforced", parReport.HostCPUs, parReport.GoMaxProcs, parReport.Speedup)
-	}
-
-	// Merge guard: never let this run clobber an existing parallel
-	// record that was measured with real host parallelism if this host
-	// lacks it — keep the old raw record verbatim instead.
-	parRecord := any(parReport)
-	if raw, ok := readBenchRecords("BENCH_core.json")["BenchmarkCoreParallel"]; ok {
-		var old parallelHostShape
-		if json.Unmarshal(raw, &old) == nil && keepExistingParallel(old, freshShape) {
-			t.Logf("keeping the existing BenchmarkCoreParallel record (measured with %d CPUs / GOMAXPROCS=%d); this sub-floor host must not overwrite it", old.HostCPUs, old.GoMaxProcs)
-			parRecord = raw
-		}
-	}
-
-	// Entry 6: checkpoint/COW forking on a warm-up-dominated sweep. The
+	// Entry 5: checkpoint/COW forking on a warm-up-dominated sweep. The
 	// scratch leg re-simulates the shared warm-up sixteen times; the
 	// fork leg warms one parent to the probed checkpoint and forks every
-	// grid point from it. Unlike the parallel entry this speedup is pure
+	// grid point from it. Unlike the fabric entry this speedup is pure
 	// warm-up amortization — no host parallelism involved — so the 2x
 	// floor is enforced unconditionally, and so is bit-identity between
 	// the two legs.
@@ -1218,10 +1105,10 @@ func TestWriteBenchCoreJSON(t *testing.T) {
 		t.Fatalf("sweep-fork speedup %.2fx below the 2x floor (%s scratch vs %s forked)", sweepReport.Speedup, swScratch, swFork)
 	}
 
-	// Entry 7: fabric scale-out on the cache-cold sweep. Like the
-	// parallel entry this speedup is host parallelism (3 single-slot
-	// workers vs 1, all in this process), so the 2x floor is enforced
-	// only on hosts with >= 4 CPUs and procs — three concurrent
+	// Entry 6: fabric scale-out on the cache-cold sweep. This speedup is
+	// host parallelism (3 single-slot workers vs 1, all in this
+	// process), so the 2x floor is enforced only on hosts with >= 4
+	// CPUs and procs — three concurrent
 	// simulations plus coordinator dispatch need somewhere to run.
 	// Bit-identity between fleet sizes is enforced everywhere: the
 	// result documents must match byte for byte.
@@ -1289,27 +1176,27 @@ func TestWriteBenchCoreJSON(t *testing.T) {
 		t.Logf("host has %d CPUs / GOMAXPROCS=%d; the 2x scale-out floor needs >= 4 of each, recording %.2fx unenforced", fabReport.HostCPUs, fabReport.GoMaxProcs, fabReport.Speedup)
 	}
 	fabRecord := any(fabReport)
+	freshShape := hostShape{HostCPUs: fabReport.HostCPUs, GoMaxProcs: fabReport.GoMaxProcs}
 	if raw, ok := readBenchRecords("BENCH_core.json")["BenchmarkFabricScaleOut"]; ok {
-		var old parallelHostShape
-		if json.Unmarshal(raw, &old) == nil && keepExistingParallel(old, freshShape) {
+		var old hostShape
+		if json.Unmarshal(raw, &old) == nil && keepExistingRecord(old, freshShape) {
 			t.Logf("keeping the existing BenchmarkFabricScaleOut record (measured with %d CPUs / GOMAXPROCS=%d); this sub-floor host must not overwrite it", old.HostCPUs, old.GoMaxProcs)
 			fabRecord = raw
 		}
 	}
 
-	out, err := json.MarshalIndent([]any{ffReport, wkReport, memReport, obsReport, parRecord, sweepReport, fabRecord}, "", "  ")
+	out, err := json.MarshalIndent([]any{ffReport, wkReport, memReport, obsReport, sweepReport, fabRecord}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile("BENCH_core.json", append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("fast-forward %.2fx (%s stepped, %s event-driven over %d cycles); wakeup %.2fx (%s scan, %s wakeup over %d cycles); memory %.2fx (%s reference, %s fastpath over %d cycles); obs sampling %+.1f%% (%s disabled, %s sampled over %d cycles); parallel %.2fx (%s sequential, %s parallel over %d cycles, %d procs); sweep-fork %.2fx (%s scratch, %s forked, checkpoint at cycle %d); fabric scale-out %.2fx (%s with 1 worker, %s with 3)",
+	t.Logf("fast-forward %.2fx (%s stepped, %s event-driven over %d cycles); wakeup %.2fx (%s scan, %s wakeup over %d cycles); memory %.2fx (%s reference, %s fastpath over %d cycles); obs sampling %+.1f%% (%s disabled, %s sampled over %d cycles); sweep-fork %.2fx (%s scratch, %s forked, checkpoint at cycle %d); fabric scale-out %.2fx (%s with 1 worker, %s with 3)",
 		ffReport.Speedup, ffStepped, ffEvent, ffCycles,
 		wkReport.Speedup, wkScan, wkWakeup, wkCycles,
 		memReport.Speedup, memRef, memFast, memCycles,
 		obsReport.OverheadPct, obsOff, obsOn, obsCycles,
-		parReport.Speedup, parSeq, parPar, parCycles, parReport.GoMaxProcs,
 		sweepReport.Speedup, swScratch, swFork, warmAt,
 		fabReport.Speedup, fabSingle, fabFleet)
 }

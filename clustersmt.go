@@ -68,7 +68,7 @@ func NewSimulator(m Machine, p *Program) (*Simulator, error) {
 
 // Restore rebuilds a runnable simulator from a Simulator.Snapshot
 // payload, validating it against the machine and program before any
-// state is constructed (see DESIGN.md §9 for the format). Typed
+// state is constructed (see DESIGN.md §8 for the format). Typed
 // failures are the re-exported ErrSnapshot* sentinels.
 func Restore(m Machine, p *Program, data []byte) (*Simulator, error) {
 	return core.Restore(m, p, data)

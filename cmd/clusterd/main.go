@@ -28,7 +28,7 @@
 //
 // Usage:
 //
-//	clusterd [-addr :8421] [-size ref] [-workers N] [-parallel] [-queue N]
+//	clusterd [-addr :8421] [-size ref] [-workers N] [-queue N]
 //	         [-alloc icount] [-alloc-epoch N] [-list-policies]
 //	         [-cache-dir DIR] [-cache-entries N] [-max-cycles N]
 //	         [-warmup-cycles N] [-metrics-interval N] [-port-file PATH]
@@ -71,7 +71,6 @@ func main() {
 	addr := flag.String("addr", ":8421", "listen address (host:port; port 0 picks a free port)")
 	sizeName := flag.String("size", "ref", "default input size for jobs and figures: test or ref")
 	workers := flag.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
-	parallel := flag.Bool("parallel", false, "run each simulation's chips on separate goroutines (bit-identical results)")
 	queueCap := flag.Int("queue", service.DefaultQueueCap, "job queue capacity (full queue returns 429)")
 	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every simulation (default static; see -list-policies)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
@@ -126,7 +125,6 @@ func main() {
 	svc, err := service.New(service.Options{
 		DefaultSize:     size,
 		Workers:         *workers,
-		Parallel:        *parallel,
 		QueueCap:        *queueCap,
 		CacheEntries:    *cacheEntries,
 		CacheDir:        *cacheDir,

@@ -7,7 +7,7 @@
 //
 //	clustersim [-arch SMT2] [-app ocean] [-highend] [-size ref] [-v]
 //	           [-alloc icount] [-alloc-epoch 10000] [-list-policies]
-//	           [-parallel] [-json] [-metrics out.csv] [-metrics-interval 10000]
+//	           [-json] [-metrics out.csv] [-metrics-interval 10000]
 //	           [-trace t.json] [-trace-format chrome]
 //	           [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
@@ -40,7 +40,6 @@ func main() {
 	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy (default static; see -list-policies)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
 	listPolicies := flag.Bool("list-policies", false, "list the registered allocation policies and exit")
-	parallel := flag.Bool("parallel", false, "run the simulation's chips on separate goroutines (bit-identical results; incompatible with -trace)")
 	sizeName := flag.String("size", "ref", "input size: test or ref")
 	verbose := flag.Bool("v", false, "print extended statistics")
 	jsonOut := flag.Bool("json", false, "print the full result as JSON instead of the text report (same encoding clusterd serves)")
@@ -142,7 +141,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	sim.Parallel = *parallel
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {

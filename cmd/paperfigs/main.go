@@ -47,7 +47,6 @@ func main() {
 	metricsInterval := flag.Int64("metrics-interval", clustersmt.DefaultMetricsInterval, "cycles per metrics frame")
 	warmupCycles := flag.Int64("warmup-cycles", 0, "fork prefix-declaring workloads from a checkpoint warmed to this cycle (0 = off)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval for the alloc figure's dynamic policies (0 = figure default)")
-	parallelSims := flag.Bool("parallel", false, "run each alloc-figure simulation's chips on separate goroutines (bit-identical results)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	showVersion := flag.Bool("version", false, "print build information and exit")
@@ -190,7 +189,7 @@ func main() {
 		fmt.Fprintln(out)
 	}
 	if sel("alloc") {
-		fig, err := harness.AllocationFigure(ctx, size, *allocEpoch, *parallelSims)
+		fig, err := harness.AllocationFigure(ctx, size, *allocEpoch)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -231,8 +231,8 @@ func TestOraclePlace(t *testing.T) {
 	}
 }
 
-// TestRebalanceDeterminism pins the contract the core's parallel loop
-// depends on: equal snapshots yield equal proposals.
+// TestRebalanceDeterminism pins the contract the core's run
+// determinism depends on: equal snapshots yield equal proposals.
 func TestRebalanceDeterminism(t *testing.T) {
 	for _, name := range []string{"icount", "symbiosis"} {
 		a, err := New(name)

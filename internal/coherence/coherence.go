@@ -291,23 +291,6 @@ type System struct {
 	Net   *interconnect.Network
 	Stats Stats
 
-	// shards, when non-nil, receives each chip's Stats contributions
-	// instead of Stats itself, so chips can issue loads concurrently
-	// (parallel execution, internal/core). Every field of Stats is an
-	// integer sum, so folding the shards back into Stats — FoldShards,
-	// called by the coordinator between phases — reproduces the
-	// sequential counters exactly regardless of increment order. The
-	// directory and network counters are NOT sharded: those paths are
-	// only legal from the single-goroutine phases (see noDir).
-	shards []Stats
-
-	// noDir, when set, asserts that no access may reach the directory
-	// or the interconnect: the parallel phase classifier has promised
-	// every load in flight hits local L1/L2 state. fetch and upgrade
-	// panic if the promise is broken (defense in depth for the
-	// parallel mode's soundness argument; see DESIGN.md §8).
-	noDir bool
-
 	// refPaths selects the pre-optimization load path (separate L1
 	// probe and lookup walks); set via SetReferencePaths.
 	refPaths bool
@@ -342,67 +325,12 @@ func (s *System) SetReferencePaths(on bool) {
 	}
 }
 
-// EnableStatShards switches the access-counter paths to per-chip
-// shards so chips may call Load concurrently. Call FoldShards from a
-// single goroutine to merge the shards back into Stats; Snapshot and
-// readers of Stats see exact totals only after a fold.
-func (s *System) EnableStatShards() {
-	if s.shards == nil {
-		s.shards = make([]Stats, len(s.Chips))
-	}
-}
-
-// FoldShards merges the per-chip stat shards into Stats and zeroes
-// them. All fields are integer sums, so the result is bit-identical to
-// unsharded counting no matter how increments interleaved.
-func (s *System) FoldShards() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.Stats.Loads += sh.Loads
-		s.Stats.Stores += sh.Stores
-		s.Stats.LoadRetries += sh.LoadRetries
-		for c := range sh.ByClass {
-			s.Stats.ByClass[c] += sh.ByClass[c]
-			s.Stats.LatencyByClass[c] += sh.LatencyByClass[c]
-		}
-		s.Stats.StoreHits += sh.StoreHits
-		s.Stats.StoreUpgrade += sh.StoreUpgrade
-		s.Stats.StoreMisses += sh.StoreMisses
-		s.Stats.TLBMisses += sh.TLBMisses
-		*sh = Stats{}
-	}
-}
-
-// stats returns the counter sink for accesses by chip: the chip's
-// shard when sharding is on, else the machine-wide Stats.
-func (s *System) stats(chip int) *Stats {
-	if s.shards != nil {
-		return &s.shards[chip]
-	}
-	return &s.Stats
-}
-
-// SetNoDir arms (or disarms) the no-directory assertion for the
-// current parallel phase.
-func (s *System) SetNoDir(on bool) { s.noDir = on }
-
-// LoadMayFetch conservatively reports whether a load by chip to addr
-// could miss past the chip's L2 this cycle and therefore reach the
-// directory/interconnect. Probe is non-mutating. The check is sound
-// for a whole phase, not just this instant, because inclusion (L1⊆L2)
-// holds and no concurrent-phase operation ever removes a line from an
-// L2: loads that pass this check stay chip-local (see DESIGN.md §8).
-func (s *System) LoadMayFetch(chip int, addr int64) bool {
-	c := s.Chips[chip]
-	return c.L2.Probe(c.Line(addr)) == memsys.Invalid
-}
-
 // translate applies the TLB; it returns the earliest cycle the access
 // can proceed (after any miss penalty).
 func (s *System) translate(now int64, c *memsys.Chip, addr int64) int64 {
 	if !c.TLB.Access(c.Page(addr)) {
 		c.TLBMissStalls++
-		s.stats(c.ID).TLBMisses++
+		s.Stats.TLBMisses++
 		return now + int64(s.Cfg.TLBMissPenalty)
 	}
 	return now
@@ -422,7 +350,7 @@ func (s *System) Load(now int64, chip int, addr int64) (ready int64, cls AccessC
 	}
 	c := s.Chips[chip]
 	line := c.Line(addr)
-	st := s.stats(chip)
+	st := &s.Stats
 
 	// Refuse early (before disturbing banks/stats) if this would need a
 	// new MSHR and none is free.
@@ -482,7 +410,7 @@ func (s *System) Load(now int64, chip int, addr int64) (ready int64, cls AccessC
 func (s *System) loadRef(now int64, chip int, addr int64) (ready int64, cls AccessClass, ok bool) {
 	c := s.Chips[chip]
 	line := c.Line(addr)
-	stc := s.stats(chip)
+	stc := &s.Stats
 
 	if c.L1.Probe(line) == memsys.Invalid {
 		if _, merging := c.MSHR.Pending(now, line); !merging && c.MSHR.Free(now) == 0 {
@@ -535,7 +463,7 @@ func (s *System) loadRef(now int64, chip int, addr int64) (ready int64, cls Acce
 func (s *System) Store(now int64, chip int, addr int64) {
 	c := s.Chips[chip]
 	line := c.Line(addr)
-	st := s.stats(chip)
+	st := &s.Stats
 	st.Stores++
 	t := s.translate(now, c, addr)
 	start := c.L1Banks.Acquire(t, line)
@@ -586,9 +514,6 @@ func (s *System) install(chip int, line int64, st memsys.LineState) {
 // upgrade invalidates every other sharer of a line the chip already
 // holds Shared, making the chip the owner.
 func (s *System) upgrade(chip int, line int64, now int64) {
-	if s.noDir {
-		panic(fmt.Sprintf("coherence: chip %d upgrade of line %#x during a no-directory phase", chip, line))
-	}
 	h := s.Dir.Home(line)
 	e := s.Dir.entry(line)
 	t := s.Net.Transact(now, chip, h)
@@ -607,9 +532,6 @@ func (s *System) upgrade(chip int, line int64, now int64) {
 // fetch resolves an L2 miss through the directory, returning the data-
 // ready cycle and the Table 3 access class.
 func (s *System) fetch(chip int, line int64, now int64, exclusive bool) (int64, AccessClass) {
-	if s.noDir {
-		panic(fmt.Sprintf("coherence: chip %d fetch of line %#x during a no-directory phase", chip, line))
-	}
 	h := s.Dir.Home(line)
 	e := s.Dir.entry(line)
 	start := s.Net.Transact(now, chip, h)
@@ -690,9 +612,7 @@ func (s *System) Snapshot(now int64) MemSnapshot {
 // ChipSnapshot is one chip's slice of a MemSnapshot: the per-chip
 // cache counters and MSHR occupancy the allocation subsystem samples
 // at epoch boundaries. Like Snapshot it must never mutate timing
-// state, and it reads only state owned by (or folded from) this chip,
-// so values at a cycle boundary are identical under the sequential and
-// per-chip parallel loops.
+// state.
 func (s *System) ChipSnapshot(chip int, now int64) MemSnapshot {
 	c := s.Chips[chip]
 	return MemSnapshot{

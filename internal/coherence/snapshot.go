@@ -16,9 +16,7 @@ func (s *System) ReferencePaths() bool { return s.refPaths }
 // Fork returns a clone of the memory system: cache tag arrays are
 // shared copy-on-write (memsys.Cache.Fork); the directory table,
 // network ports, TLBs, MSHRs and bank state are bounded-size and copied
-// eagerly. Stat shards are dropped — the parallel runtime re-creates
-// them at the next Run and they are always folded (zero) between
-// cycles.
+// eagerly.
 func (s *System) Fork() *System {
 	cp := *s
 	cp.Chips = make([]*memsys.Chip, len(s.Chips))
@@ -27,7 +25,6 @@ func (s *System) Fork() *System {
 	}
 	cp.Dir = s.Dir.Clone()
 	cp.Net = s.Net.Clone()
-	cp.shards = nil
 	return &cp
 }
 
@@ -140,8 +137,7 @@ func (st *Stats) DecodeSnap(r *snap.Reader) {
 }
 
 // EncodeSnap writes every chip hierarchy, the directory, the network
-// and the folded machine-wide stats. Stat shards must be folded (they
-// always are between cycles); reference paths must be off.
+// and the machine-wide stats. Reference paths must be off.
 func (s *System) EncodeSnap(w *snap.Writer) {
 	for _, c := range s.Chips {
 		c.EncodeSnap(w)

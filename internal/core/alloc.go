@@ -21,10 +21,10 @@ import (
 //
 // Determinism contract: every policy decision is a pure function of a
 // snapshot built from committed per-epoch state in fixed (thread id /
-// global cluster) order, taken between cycles. The per-chip parallel
-// loop and the sequential loop therefore feed a policy byte-identical
-// inputs at byte-identical cycles, and the whole run stays
-// deterministic under both (guarded by TestAllocParallelDeterminism).
+// global cluster) order, taken between cycles. The stepped and
+// fast-forward loops therefore feed a policy byte-identical inputs at
+// byte-identical cycles, and the whole run stays deterministic under
+// both (guarded by TestAllocEventDrivenDifferential).
 
 // MigrationColdStart is the fixed front-end penalty a migrated thread
 // pays before fetching on its new cluster: the pipeline-refill cost of
@@ -153,8 +153,7 @@ func (s *Simulator) Assignment() []int {
 
 // allocEpoch runs one epoch boundary: build the committed feedback
 // snapshot in fixed order, let the policy propose migrations, validate
-// and accept them, and schedule the next boundary. Runs between cycles
-// on the coordinator only — never inside a parallel phase.
+// and accept them, and schedule the next boundary. Runs between cycles.
 func (s *Simulator) allocEpoch() {
 	a := s.alloc
 	a.epoch++
@@ -258,7 +257,7 @@ func (s *Simulator) applyMigration(mg alloc.Migration) bool {
 // completeMigrations moves every drained marked thread to its
 // destination cluster. It runs between the commit and issue stages of
 // a cycle — after the drain can finish, before the new cluster could
-// act — at the same point in both the sequential and parallel loops.
+// act — at the same point in both the stepped and fast-forward loops.
 // A thread that halts while draining cancels its move.
 func (s *Simulator) completeMigrations(now int64) bool {
 	moved := false

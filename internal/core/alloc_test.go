@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"clustersmt/internal/alloc"
@@ -39,10 +40,9 @@ func buildImbalanced(threads int, iters int64) *prog.Program {
 	return b.MustBuild()
 }
 
-// runAlloc runs one machine over build with the given cycle loop and
-// execution loop (always on the wakeup issue path, which Parallel
-// requires).
-func runAlloc(t *testing.T, m config.Machine, build func() *prog.Program, ff, par bool) *Result {
+// runAlloc runs one machine over build with the given cycle loop, on
+// the wakeup issue path.
+func runAlloc(t *testing.T, m config.Machine, build func() *prog.Program, ff bool) *Result {
 	t.Helper()
 	s, err := New(m, build())
 	if err != nil {
@@ -50,7 +50,6 @@ func runAlloc(t *testing.T, m config.Machine, build func() *prog.Program, ff, pa
 	}
 	s.EventIssue = true
 	s.EventDriven = ff
-	s.Parallel = par
 	r, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +59,7 @@ func runAlloc(t *testing.T, m config.Machine, build func() *prog.Program, ff, pa
 
 // TestAllocDifferential is the seed bit-identity gate for the default
 // policy: on every Table 2 preset, low- and high-end, under every
-// combination of {stepped, fast-forward} cycle loop × {sequential,
-// per-chip parallel} execution loop, a machine configured with
+// {stepped, fast-forward} cycle loop, a machine configured with
 // Alloc.Policy="static" must produce a Result that is bit-identical
 // (reflect.DeepEqual) to the same machine with no Alloc at all. It is
 // the proof that bolting the allocation subsystem on changed nothing
@@ -69,13 +67,11 @@ func runAlloc(t *testing.T, m config.Machine, build func() *prog.Program, ff, pa
 // epochs and zero migrations.
 func TestAllocDifferential(t *testing.T) {
 	combos := []struct {
-		name    string
-		ff, par bool
+		name string
+		ff   bool
 	}{
-		{"stepped/seq", false, false},
-		{"ff/seq", true, false},
-		{"stepped/par", false, true},
-		{"ff/par", true, true},
+		{"stepped", false},
+		{"ff", true},
 	}
 	for _, arch := range config.AllArchs {
 		for _, highEnd := range []bool{false, true} {
@@ -95,8 +91,8 @@ func TestAllocDifferential(t *testing.T) {
 					t.Fatalf("explicit static policy changed the machine hash")
 				}
 				for _, c := range combos {
-					seed := runAlloc(t, m, build, c.ff, c.par)
-					static := runAlloc(t, ms, build, c.ff, c.par)
+					seed := runAlloc(t, m, build, c.ff)
+					static := runAlloc(t, ms, build, c.ff)
 					if static.AllocEpochs != 0 || static.AllocMigrations != 0 {
 						t.Fatalf("%s: static ran epochs=%d migrations=%d, want 0/0",
 							c.name, static.AllocEpochs, static.AllocMigrations)
@@ -130,8 +126,8 @@ func TestAllocDeterminism(t *testing.T) {
 				build := func() *prog.Program {
 					return buildImbalanced(m.Threads(), 2000)
 				}
-				a := runAlloc(t, m, build, true, false)
-				b := runAlloc(t, m, build, true, false)
+				a := runAlloc(t, m, build, true)
+				b := runAlloc(t, m, build, true)
 				if a.AllocMigrations == 0 {
 					t.Fatalf("no migrations; the determinism check is vacuous")
 				}
@@ -143,25 +139,61 @@ func TestAllocDeterminism(t *testing.T) {
 	}
 }
 
-// TestAllocParallelDeterminism pins the headline contract from the
-// design note: the per-chip parallel loop and the sequential loop feed
-// a policy byte-identical snapshots at byte-identical cycles, so a
-// dynamic-policy run is bit-identical under both execution loops.
+// TestAllocParallelDeterminism pins dynamic policies under concurrent
+// execution: the allocation figure computes its rows concurrently and
+// Suite/RunMatrix run cells on parallel goroutines, so simulators that
+// run a policy at the same time — on the same and on different
+// machines, under both cycle loops — must each produce the Result of
+// the same run made alone. No allocator, policy or simulator state may
+// be shared between runs.
 func TestAllocParallelDeterminism(t *testing.T) {
 	for _, pol := range []string{"icount", "symbiosis"} {
 		t.Run(pol, func(t *testing.T) {
-			m := config.HighEnd(config.SMT2)
-			m.Alloc = config.AllocConfig{Policy: pol, Epoch: 500}
-			build := func() *prog.Program {
-				return buildImbalanced(m.Threads(), 2000)
+			type leg struct {
+				m  config.Machine
+				ff bool
 			}
-			seq := runAlloc(t, m, build, true, false)
-			par := runAlloc(t, m, build, true, true)
-			if seq.AllocMigrations == 0 {
-				t.Fatalf("no migrations; the determinism check is vacuous")
+			var legs []leg
+			for _, m := range []config.Machine{config.LowEnd(config.SMT2), config.HighEnd(config.SMT2)} {
+				m.Alloc = config.AllocConfig{Policy: pol, Epoch: 500}
+				legs = append(legs, leg{m, true}, leg{m, false}, leg{m, true})
 			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("parallel loop diverged from sequential\nseq: %+v\npar: %+v", seq, par)
+			build := func(m config.Machine) func() *prog.Program {
+				return func() *prog.Program { return buildImbalanced(m.Threads(), 2000) }
+			}
+			want := make([]*Result, len(legs))
+			for i, l := range legs {
+				want[i] = runAlloc(t, l.m, build(l.m), l.ff)
+				if want[i].AllocMigrations == 0 {
+					t.Fatalf("%s ff=%v: no migrations; the determinism check is vacuous", l.m.Name, l.ff)
+				}
+			}
+			got := make([]*Result, len(legs))
+			errs := make([]error, len(legs))
+			var wg sync.WaitGroup
+			for i, l := range legs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s, err := New(l.m, build(l.m)())
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					s.EventIssue = true
+					s.EventDriven = l.ff
+					got[i], errs[i] = s.Run()
+				}()
+			}
+			wg.Wait()
+			for i, l := range legs {
+				if errs[i] != nil {
+					t.Fatalf("%s ff=%v: %v", l.m.Name, l.ff, errs[i])
+				}
+				if !reflect.DeepEqual(want[i], got[i]) {
+					t.Fatalf("%s ff=%v: concurrent run diverged from the run made alone\nalone:      %+v\nconcurrent: %+v",
+						l.m.Name, l.ff, want[i], got[i])
+				}
 			}
 		})
 	}
@@ -294,10 +326,10 @@ func TestAllocInvalidProposalsRejected(t *testing.T) {
 	build := func() *prog.Program {
 		return buildImbalanced(m.Threads(), 2000)
 	}
-	ref := runAlloc(t, m, build, false, false)
+	ref := runAlloc(t, m, build, false)
 	mc := m
 	mc.Alloc = config.AllocConfig{Policy: "chaos-test", Epoch: 500}
-	got := runAlloc(t, mc, build, false, false)
+	got := runAlloc(t, mc, build, false)
 	if got.AllocEpochs == 0 {
 		t.Fatalf("chaos policy never consulted; the rejection check is vacuous")
 	}

@@ -108,16 +108,9 @@ type cluster struct {
 	chip int
 	idx  int
 	// gid is the cluster's index in Simulator.clusters (chip-major
-	// global order) — the order the sequential loop visits clusters in,
-	// and hence the order the parallel mode's turn protocol enforces.
+	// global order) — the order the cycle loop visits clusters in.
 	gid int
 	cfg config.Arch
-
-	// storeQ collects the addresses of stores committed this cycle when
-	// parallel execution defers the memory-system access; the
-	// coordinator drains the queues in global cluster order between the
-	// commit and issue phases (parallel.go).
-	storeQ []int64
 
 	threads []*threadCtx
 	// migrateIn counts accepted-but-not-yet-completed migrations headed
@@ -285,14 +278,7 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 			e := c.at(h)
 			t.fifoPop()
 			if e.isStore {
-				if s.par != nil {
-					// Parallel commit phase: chips commit concurrently, so
-					// the (machine-global) memory-system store is deferred
-					// to the coordinator, which drains the queues in exact
-					// sequential order. Store never feeds a value back into
-					// commit, so deferral is invisible to this stage.
-					c.storeQ = append(c.storeQ, e.d.Addr+t.memBase)
-				} else if s.tr != nil {
+				if s.tr != nil {
 					pre := s.dirCounters()
 					s.msys.Store(now, c.chip, e.d.Addr+t.memBase)
 					s.traceDirDelta(now, c, e, pre)
@@ -319,10 +305,11 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 				// The thread just drained after its halt: it leaves the
 				// running-thread count (it cannot be sync-blocked here —
 				// blocked threads never fetch, so they never halt).
-				s.noteFinished(c.chip)
+				s.running--
+				s.finished++
 			}
 			t.committed++
-			s.noteCommitted(c.chip)
+			s.committed++
 			s.traceEvent(now, c, "C", e)
 			budget--
 			removed = true
@@ -430,7 +417,7 @@ func (c *cluster) tryIssue(s *Simulator, e *entry, now int64, votes *stats.Votes
 			}
 			e.forwarded = true
 			completeAt = now + e.lat
-			s.noteForwarded(c.chip)
+			s.forwardedLoads++
 		} else {
 			var pre dirCounters
 			if s.tr != nil {
@@ -519,13 +506,13 @@ func (c *cluster) unblock(s *Simulator, now int64) bool {
 			}
 			if t.lockGranted {
 				t.block = blockNone
-				s.addRunning(c.chip, 1)
+				s.running++
 				resumed = true
 			}
 		case blockBarrier:
 			if t.sync.Released(t.fn.Peek().Imm, t.barTarget) {
 				t.block = blockNone
-				s.addRunning(c.chip, 1)
+				s.running++
 				resumed = true
 			}
 		case blockMigrate:
@@ -589,23 +576,14 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 
 		// Synchronization is resolved at the front end; the paper's
 		// spin-wait slots surface as the thread voting "sync" while
-		// blocked here. Under parallel execution, sync operations (and
-		// swap, the one functional read-modify-write) go through the
-		// turn protocol so the shared controller sees them in exactly
-		// the sequential cluster order.
-		if s.par != nil {
-			switch in.Op {
-			case isa.OpLock, isa.OpUnlock, isa.OpBarrier, isa.OpSwap:
-				s.ensureTurn(c)
-			}
-		}
+		// blocked here.
 		switch in.Op {
 		case isa.OpLock:
 			if t.lockGranted {
 				t.lockGranted = false
 			} else if !t.sync.TryLock(in.Imm, t.id) {
 				t.block = blockLock
-				s.addRunning(c.chip, -1)
+				s.running--
 				return 0 // fetch redirect consumes the cycle
 			}
 		case isa.OpUnlock:
@@ -617,7 +595,7 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 			}
 			if !t.sync.Released(in.Imm, t.barTarget) {
 				t.block = blockBarrier
-				s.addRunning(c.chip, -1)
+				s.running--
 				return 0 // fetch redirect consumes the cycle
 			}
 			t.barArrived = false

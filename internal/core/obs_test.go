@@ -225,97 +225,6 @@ func TestObsFrameConservationFastForwardDominated(t *testing.T) {
 	checkConservation(t, r, frames, interval)
 }
 
-// runObsParMode is runObsMode for the parallel execution loop. It
-// omits the Chrome trace: tracing orders its events by the sequential
-// stage walk, so Parallel refuses to run with a tracer attached
-// (TestParallelRejectsTracing).
-func runObsParMode(t *testing.T, m config.Machine, build func() *prog.Program, parallel, ff bool, interval int64) (*Result, []obs.Frame) {
-	t.Helper()
-	s, err := New(m, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Parallel = parallel
-	s.EventDriven = ff
-	s.EnableMetrics(interval, 0)
-	var frames []obs.Frame
-	s.OnInterval(func(f obs.Frame) { frames = append(frames, f) })
-	r, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, frames
-}
-
-// TestObsFrameConservationParallel extends the conservation property to
-// the parallel loop: frames must tile a parallel run exactly, on both
-// cycle loops, and — because sampling happens on the coordinator after
-// every per-cycle fold — each frame must be bit-identical to the one
-// the sequential loop produces at the same boundary.
-func TestObsFrameConservationParallel(t *testing.T) {
-	w, err := workloads.ByName("ocean")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := config.HighEnd(config.SMT2)
-	build := func() *prog.Program {
-		return w.Build(m.Threads(), m.Chips, workloads.SizeTest)
-	}
-	const interval = 250
-	for _, ff := range []bool{false, true} {
-		seqR, seqFrames := runObsParMode(t, m, build, false, ff, interval)
-		parR, parFrames := runObsParMode(t, m, build, true, ff, interval)
-		checkConservation(t, parR, parFrames, interval)
-		if !reflect.DeepEqual(seqR, parR) {
-			t.Errorf("ff=%v: parallel result with observability differs from sequential:\n  seq: %v\n  par: %v", ff, seqR, parR)
-		}
-		if !reflect.DeepEqual(seqFrames, parFrames) {
-			t.Errorf("ff=%v: parallel frames differ from sequential (seq %d frames, par %d)", ff, len(seqFrames), len(parFrames))
-		}
-	}
-}
-
-// TestMetricsRingDropsParallel checks that the ring's drop accounting
-// is unchanged under parallel execution: same frames seen, same frames
-// dropped, same newest retained index as the sequential run.
-func TestMetricsRingDropsParallel(t *testing.T) {
-	w, err := workloads.ByName("ocean")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := config.HighEnd(config.SMT2)
-	run := func(parallel bool) (seen int, ring *obs.Ring) {
-		s, err := New(m, w.Build(m.Threads(), m.Chips, workloads.SizeTest))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Parallel = parallel
-		ring = s.EnableMetrics(200, 4)
-		s.OnInterval(func(obs.Frame) { seen++ })
-		if _, err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return seen, ring
-	}
-	seqSeen, seqRing := run(false)
-	parSeen, parRing := run(true)
-	if parSeen != seqSeen {
-		t.Errorf("parallel run sampled %d frames, sequential %d", parSeen, seqSeen)
-	}
-	if seqSeen <= 4 {
-		t.Skipf("run too short to overflow the ring (%d frames)", seqSeen)
-	}
-	if parRing.Dropped() != parSeen-4 {
-		t.Errorf("parallel ring dropped %d frames, want %d", parRing.Dropped(), parSeen-4)
-	}
-	if parRing.Dropped() != seqRing.Dropped() {
-		t.Errorf("drop accounting differs: parallel %d, sequential %d", parRing.Dropped(), seqRing.Dropped())
-	}
-	if !reflect.DeepEqual(seqRing.Frames(), parRing.Frames()) {
-		t.Error("retained frames differ between sequential and parallel runs")
-	}
-}
-
 // TestOnIntervalChains checks that multiple OnInterval registrations
 // all fire, in registration order, and that OnInterval alone enables
 // sampling at the default interval.

@@ -28,9 +28,7 @@ var ErrInterrupted = errors.New("run interrupted")
 const interruptPeriod = 1024
 
 // Simulator executes one program on one machine, cycle by cycle. It is
-// strictly deterministic; with Parallel set, chips step concurrently in
-// a lockstep that reproduces the sequential results bit-identically
-// (parallel.go).
+// strictly deterministic.
 type Simulator struct {
 	Machine config.Machine
 	Program *prog.Program
@@ -71,23 +69,6 @@ type Simulator struct {
 	// differential matrix); turning it off falls back to the reference
 	// scan. Must be set before Run.
 	EventIssue bool
-
-	// Parallel runs one goroutine per chip in per-cycle lockstep
-	// (parallel.go). Results are bit-identical to the sequential loop
-	// (guarded by TestParallelDifferential); the sequential loop remains
-	// the reference implementation and the escape hatch, following the
-	// same idiom as EventIssue/SetReferenceMemPaths. Requires EventIssue
-	// and no instruction tracing. Must be set before Run.
-	Parallel bool
-
-	// par is the live parallel runner, non-nil only inside a Parallel
-	// Run; cluster stages consult it to route counters to per-chip
-	// shards and sync operations through the turn protocol.
-	par *parRunner
-	// parBCycles counts cycles whose issue/fetch phase ran concurrently
-	// on the chip workers (vs the sequential directory fallback) —
-	// diagnostics and test vacuousness checks.
-	parBCycles int64
 
 	// Fast-forward bookkeeping: per-cluster vote scratch, lock spinners
 	// found by the quiescence scan (their per-poll conflict counts are
@@ -222,8 +203,7 @@ func newShell(m config.Machine, p *prog.Program, mem *interp.Memory, msys *coher
 }
 
 // numberClusters assigns each cluster its global (chip-major) index —
-// the sequential iteration order, which the parallel mode's turn
-// protocol and store drain reproduce.
+// the cycle loop's iteration order.
 func (s *Simulator) numberClusters() {
 	for i, cl := range s.clusters {
 		cl.gid = i
@@ -327,12 +307,6 @@ func (s *Simulator) run(target int64) (*Result, error) {
 		return nil, fmt.Errorf("core: simulator already run")
 	}
 	s.resumable = false
-	if s.Parallel {
-		if err := s.startParallel(); err != nil {
-			return nil, err
-		}
-		defer s.stopParallel()
-	}
 	if s.tr != nil {
 		// The trace writer is buffered; flush whatever was traced even
 		// when the run aborts (MaxCycles), so partial traces are usable.
@@ -373,10 +347,9 @@ func (s *Simulator) run(target int64) (*Result, error) {
 			}
 		}
 		if s.alloc != nil && s.cycle >= s.alloc.nextAt {
-			// Epoch boundary: runs between cycles on the coordinator (the
-			// workers only ever run inside stepParallel), and the fast-
-			// forward clamps its jumps to nextAt, so the policy observes
-			// the machine at exactly this cycle under every execution mode.
+			// Epoch boundary: runs between cycles, and the fast-forward
+			// clamps its jumps to nextAt, so the policy observes the
+			// machine at exactly this cycle under every execution mode.
 			s.allocEpoch()
 		}
 		if idle && s.EventDriven && s.cycle >= probeAt {
@@ -390,13 +363,7 @@ func (s *Simulator) run(target int64) (*Result, error) {
 			}
 			probeAt = s.cycle + 1<<failStreak
 		}
-		var progressed bool
-		if s.par != nil {
-			progressed = s.stepParallel()
-		} else {
-			progressed = s.step()
-		}
-		if progressed {
+		if s.step() {
 			failStreak = 0
 			probeAt = 0
 			idle = false

@@ -30,14 +30,12 @@ import (
 // Running a restored or forked simulator to completion produces a
 // Result (and off-Result memory/coherence counters, and obs frames)
 // reflect.DeepEqual to running the original from scratch — guarded by
-// TestCheckpointDifferential across every preset × machine ×
-// sequential/parallel.
+// TestCheckpointDifferential across every preset × machine.
 //
 // Encoding invariants:
 //
 //   - Snapshots are taken between cycles (a fresh simulator, one paused
-//     by RunTo, or a completed one). Mid-cycle state (parallel runner,
-//     undrained store queues) is refused with ErrSnapshotUnsupported.
+//     by RunTo, or a completed one).
 //   - Handle-linked window entries are serialized as one per-cluster
 //     universe: a deterministic worklist enumeration assigns each entry
 //     reachable through a live handle an index, handles encode as
@@ -127,9 +125,7 @@ func (s *Simulator) PrefixValid() bool {
 // out of scope: multiprogrammed runs (per-job memories and sync
 // controllers), reference memory paths (their map-of-pointer directory
 // has no stable encoding and exists only as a differential baseline),
-// instruction tracing (the trace writer is an open file), and a run
-// currently inside the parallel runner (between runs par is nil; the
-// Parallel flag itself is a host execution choice and is not state).
+// and instruction tracing (the trace writer is an open file).
 func (s *Simulator) snapshotSupported() error {
 	if len(s.mems) > 1 {
 		return fmt.Errorf("%w: multiprogrammed simulators", ErrSnapshotUnsupported)
@@ -139,14 +135,6 @@ func (s *Simulator) snapshotSupported() error {
 	}
 	if s.tr != nil {
 		return fmt.Errorf("%w: instruction tracing active", ErrSnapshotUnsupported)
-	}
-	if s.par != nil {
-		return fmt.Errorf("%w: mid-run parallel state", ErrSnapshotUnsupported)
-	}
-	for _, c := range s.clusters {
-		if len(c.storeQ) != 0 {
-			return fmt.Errorf("%w: undrained store queue (mid-cycle state)", ErrSnapshotUnsupported)
-		}
 	}
 	if len(s.migrating) != 0 {
 		// A draining migration resolves within the longest in-flight
@@ -311,7 +299,7 @@ func (s *Simulator) encodeCore(w *snap.Writer) {
 	w.Int(s.running)
 	w.Int(s.finished)
 	w.I64(s.ffCycles)
-	w.I64(s.parBCycles)
+	w.I64(0) // retired slot (a per-chip parallel loop's cycle counter)
 	w.Bool(s.EventDriven)
 	w.Bool(s.EventIssue)
 	encodeSlots(w, &s.slots)
@@ -385,7 +373,7 @@ func (s *Simulator) decodeCore(r *snap.Reader, ver uint32) error {
 	s.running = r.Int()
 	s.finished = r.Int()
 	s.ffCycles = r.I64()
-	s.parBCycles = r.I64()
+	r.I64() // retired slot; older writers may have stored non-zero here
 	s.EventDriven = r.Bool()
 	s.EventIssue = r.Bool()
 	decodeSlots(r, &s.slots)

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -96,7 +100,7 @@ func compareRuns(t *testing.T, label string, want, got *Result, ws, gs *Simulato
 
 // TestCheckpointDifferential is the contract test for checkpoint/
 // restore and fork: on every Table 2 preset, low- and high-end,
-// sequential and parallel, a run resumed from a mid-run snapshot — and
+// a run resumed from a mid-run snapshot — and
 // a run forked from a paused parent, and the parent itself continuing —
 // must be bit-identical (reflect.DeepEqual on the full Result, the
 // off-Result memory/coherence counters and the obs frames) to running
@@ -109,68 +113,58 @@ func TestCheckpointDifferential(t *testing.T) {
 			if highEnd {
 				m = config.HighEnd(arch)
 			}
-			for _, par := range []bool{false, true} {
-				name := m.Name
-				if par {
-					name += "/parallel"
-				} else {
-					name += "/sequential"
+			// "/sequential" names the cycle loop under test.
+			t.Run(m.Name+"/sequential", func(t *testing.T) {
+				build := func() *prog.Program {
+					return w.Build(m.Threads(), m.Chips, workloads.SizeTest)
 				}
-				t.Run(name, func(t *testing.T) {
-					build := func() *prog.Program {
-						return w.Build(m.Threads(), m.Chips, workloads.SizeTest)
-					}
-					mkSim := func() *Simulator {
-						s, err := New(m, build())
-						if err != nil {
-							t.Fatal(err)
-						}
-						s.Parallel = par
-						s.EnableMetrics(2048, 64)
-						return s
-					}
-					run := func(s *Simulator) *Result {
-						r, err := s.Run()
-						if err != nil {
-							t.Fatal(err)
-						}
-						return r
-					}
-
-					scratch := mkSim()
-					ref := run(scratch)
-					half := ref.Cycles / 2
-					if half < 1 {
-						half = 1
-					}
-
-					// Snapshot → Restore → continue.
-					paused := mkSim()
-					if err := paused.RunTo(half); err != nil {
-						t.Fatal(err)
-					}
-					data, err := paused.Snapshot()
+				mkSim := func() *Simulator {
+					s, err := New(m, build())
 					if err != nil {
 						t.Fatal(err)
 					}
-					restored, err := Restore(m, build(), data)
+					s.EnableMetrics(2048, 64)
+					return s
+				}
+				run := func(s *Simulator) *Result {
+					r, err := s.Run()
 					if err != nil {
 						t.Fatal(err)
 					}
-					restored.Parallel = par
-					compareRuns(t, "restore", ref, run(restored), scratch, restored)
+					return r
+				}
 
-					// Fork → child continues; the snapshotted parent also
-					// continues (snapshot and fork must not perturb it).
-					child, err := paused.Fork()
-					if err != nil {
-						t.Fatal(err)
-					}
-					child.Parallel = par
-					compareRuns(t, "fork-child", ref, run(child), scratch, child)
-					compareRuns(t, "parent-continue", ref, run(paused), scratch, paused)
-				})
-			}
+				scratch := mkSim()
+				ref := run(scratch)
+				half := ref.Cycles / 2
+				if half < 1 {
+					half = 1
+				}
+
+				// Snapshot → Restore → continue.
+				paused := mkSim()
+				if err := paused.RunTo(half); err != nil {
+					t.Fatal(err)
+				}
+				data, err := paused.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				restored, err := Restore(m, build(), data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareRuns(t, "restore", ref, run(restored), scratch, restored)
+
+				// Fork → child continues; the snapshotted parent also
+				// continues (snapshot and fork must not perturb it).
+				child, err := paused.Fork()
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareRuns(t, "fork-child", ref, run(child), scratch, child)
+				compareRuns(t, "parent-continue", ref, run(paused), scratch, paused)
+			})
 		}
 	}
 }
@@ -464,4 +458,60 @@ func TestSnapshotGolden(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("golden checkpoint run diverged from scratch run:\nwant %+v\ngot  %+v", want, got)
 	}
+}
+
+// snapshotFixtureSHA256 pins the exact bytes of snapshotFixture's
+// checkpoint (LowEnd FA4, checkpointSpec, paused at cycle 500). clusterd
+// stores checkpoints content-addressed by this digest and the fabric
+// ships them between nodes, so an encoding change that keeps
+// TestSnapshotGolden green but moves a byte still breaks every persisted
+// store key; it must bump SnapshotVersion instead of slipping through.
+const snapshotFixtureSHA256 = "e4877c1c8e4d1595ff06b84b069f1f993eb4dc5667d9e4a838eb14a13cf71b7b"
+
+// TestSnapshotBytesPinned checks the checkpoint bytes against the pin.
+func TestSnapshotBytesPinned(t *testing.T) {
+	_, _, _, data := snapshotFixture(t)
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != snapshotFixtureSHA256 {
+		t.Fatalf("snapshot bytes changed: sha256 %s, pinned %s (%d bytes)", got, snapshotFixtureSHA256, len(data))
+	}
+}
+
+// TestSnapshotRetiredSlot checks the core section's retired slot (it
+// held the cycle counter of a since-deleted per-chip parallel loop):
+// this build writes it as zero, and a checkpoint carrying a non-zero
+// value there — as the older writer produced — still restores, runs
+// to the same Result and re-encodes to the canonical bytes.
+func TestSnapshotRetiredSlot(t *testing.T) {
+	m, build, _, data := snapshotFixture(t)
+	// Header: magic, version, three length-prefixed 32-byte hashes and
+	// the prefix flag; then seven 8-byte scalars precede the slot.
+	const off = 4 + 4 + 3*(4+32) + 1 + 7*8
+	if got := binary.LittleEndian.Uint64(data[off:]); got != 0 {
+		t.Fatalf("retired slot holds %d, want 0", got)
+	}
+	legacy := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(legacy[off:], 12345)
+
+	run := func(payload []byte) (*Simulator, *Result) {
+		s, err := Restore(m, build(), payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("restored checkpoint does not re-encode to the canonical bytes")
+		}
+		r, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, r
+	}
+	ws, want := run(data)
+	gs, got := run(legacy)
+	compareRuns(t, "legacy-slot", want, got, ws, gs)
 }

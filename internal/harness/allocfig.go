@@ -142,10 +142,9 @@ func allocMixJobs(contexts int, size workloads.Size) []*prog.Program {
 // AllocationFigure measures the dynamic allocation policies against
 // the static bounds on a multiprogrammed mix, across all seven Table 2
 // presets on both the low-end and high-end machines. epoch <= 0 uses
-// allocFigEpoch; parallel selects the per-chip parallel execution loop
-// (results are bit-identical either way). The whole figure is
-// deterministic: rendering it twice produces byte-identical output.
-func AllocationFigure(ctx context.Context, size workloads.Size, epoch int64, parallel bool) (*AllocFigure, error) {
+// allocFigEpoch. The whole figure is deterministic: rendering it twice
+// produces byte-identical output.
+func AllocationFigure(ctx context.Context, size workloads.Size, epoch int64) (*AllocFigure, error) {
 	if epoch <= 0 {
 		epoch = allocFigEpoch
 	}
@@ -171,7 +170,7 @@ func AllocationFigure(ctx context.Context, size workloads.Size, epoch int64, par
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			rows[i], errs[i] = allocRow(ctx, m, size, epoch, parallel)
+			rows[i], errs[i] = allocRow(ctx, m, size, epoch)
 		}(i, m)
 	}
 	wg.Wait()
@@ -187,7 +186,7 @@ func AllocationFigure(ctx context.Context, size workloads.Size, epoch int64, par
 // allocRow measures one machine: search the static assignment space
 // once for the best/worst bounds, then run the mix under each policy
 // column.
-func allocRow(ctx context.Context, m config.Machine, size workloads.Size, epoch int64, parallel bool) (*AllocRow, error) {
+func allocRow(ctx context.Context, m config.Machine, size workloads.Size, epoch int64) (*AllocRow, error) {
 	jobs := allocMixJobs(m.Threads(), size)
 	mk := func() (*core.Simulator, error) {
 		sim, err := core.NewMulti(m, jobs)
@@ -225,7 +224,6 @@ func allocRow(ctx context.Context, m config.Machine, size workloads.Size, epoch 
 				return nil, fmt.Errorf("harness: alloc figure %s/%s: %w", m.Name, pol, err)
 			}
 		}
-		sim.Parallel = parallel
 		sim.Interrupt = ctx.Done()
 		r, err := sim.Run()
 		if err != nil {

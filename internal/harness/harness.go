@@ -3,11 +3,9 @@
 // the Figure 6 placements, and renders the Figure 4/5/7/8 execution-
 // time breakdowns as text.
 //
-// Individual simulations are strictly deterministic; by default each
-// runs on a single goroutine and the harness runs independent
-// simulations concurrently across host cores. Suite.Parallel instead
-// spreads each simulation's chips across goroutines (core.Simulator.
-// Parallel), which pays off when one big high-end run dominates.
+// Individual simulations are strictly deterministic; each runs on a
+// single goroutine and the harness runs independent simulations
+// concurrently across host cores.
 package harness
 
 import (
@@ -83,12 +81,6 @@ type Suite struct {
 	// config.DefaultAllocEpoch). Set before the first Run.
 	AllocPolicy string
 	AllocEpoch  int64
-	// Parallel runs each simulation's chips on separate goroutines
-	// (core.Simulator.Parallel). Results stay bit-identical to the
-	// sequential loop; the win is wall clock on multi-chip machines
-	// when a few big runs dominate the suite. Set before the first Run.
-	Parallel bool
-
 	// MetricsInterval > 0 enables interval metrics on every simulation
 	// (one obs.Frame per MetricsInterval cycles, retained in a ring of
 	// MetricsRingCap frames — obs.DefaultRingCap when 0). Sampling is
@@ -328,7 +320,6 @@ func (s *Suite) simulate(ctx context.Context, app workloads.Workload, m config.M
 	if s.MaxCycles > 0 {
 		sim.MaxCycles = s.MaxCycles
 	}
-	sim.Parallel = s.Parallel
 	sim.Interrupt = ctx.Done()
 	if s.MetricsInterval > 0 || s.OnFrame != nil {
 		// A forked child already carries the warmed parent's sampler —

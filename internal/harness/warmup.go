@@ -149,7 +149,6 @@ func (s *Suite) warmParent(ctx context.Context, m config.Machine, p *prog.Progra
 	if s.MaxCycles > 0 {
 		sim.MaxCycles = s.MaxCycles
 	}
-	sim.Parallel = s.Parallel
 	if s.MetricsInterval > 0 || s.OnFrame != nil {
 		// Children inherit the sampler through the fork, frames
 		// included, so their rings match a scratch run's byte for byte.

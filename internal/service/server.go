@@ -30,10 +30,6 @@ type Options struct {
 	DefaultSize workloads.Size
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// Parallel runs each simulation's chips on separate goroutines
-	// (core.Simulator.Parallel); results stay bit-identical, so cache
-	// keys and cached payloads are unaffected.
-	Parallel bool
 	// QueueCap bounds the admission FIFO (0 = DefaultQueueCap). A full
 	// queue rejects submissions with 429 + Retry-After.
 	QueueCap int
@@ -235,7 +231,6 @@ func (s *Server) suite(size workloads.Size) *harness.Suite {
 	if !ok {
 		st = harness.NewSuite(size)
 		st.MaxCycles = s.opts.MaxCycles
-		st.Parallel = s.opts.Parallel
 		st.AllocPolicy = s.opts.AllocPolicy
 		st.AllocEpoch = s.opts.AllocEpoch
 		st.MetricsInterval = s.opts.MetricsInterval
