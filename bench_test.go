@@ -109,11 +109,11 @@ func BenchmarkFig1Model(b *testing.B) {
 	}
 }
 
-func benchFigure(b *testing.B, run func(*harness.Suite) (*harness.Figure, error)) {
+func benchFigure(b *testing.B, n int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		suite := harness.NewSuite(workloads.SizeRef)
-		fig, err := run(suite)
+		fig, err := suite.FigureByNumber(context.Background(), n)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,13 +133,13 @@ func benchFigure(b *testing.B, run func(*harness.Suite) (*harness.Figure, error)
 // BenchmarkFig4LowEndFAvsSMT2 regenerates Figure 4 (FA8/FA4/FA2/FA1 vs
 // SMT2, low-end machine, six applications).
 func BenchmarkFig4LowEndFAvsSMT2(b *testing.B) {
-	benchFigure(b, (*harness.Suite).Figure4)
+	benchFigure(b, 4)
 }
 
 // BenchmarkFig5HighEndFAvsSMT2 regenerates Figure 5 (the same
 // comparison on the 4-chip machine).
 func BenchmarkFig5HighEndFAvsSMT2(b *testing.B) {
-	benchFigure(b, (*harness.Suite).Figure5)
+	benchFigure(b, 5)
 }
 
 // BenchmarkFig6Placement regenerates the Figure 6 measurements (average
@@ -148,7 +148,7 @@ func BenchmarkFig6Placement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		suite := harness.NewSuite(workloads.SizeRef)
 		for _, highEnd := range []bool{false, true} {
-			pts, err := suite.Placement(highEnd)
+			pts, err := suite.PlacementContext(context.Background(), highEnd)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -162,13 +162,13 @@ func BenchmarkFig6Placement(b *testing.B) {
 // BenchmarkFig7LowEndSMTs regenerates Figure 7 (SMT8/SMT4/SMT2/SMT1,
 // low-end machine).
 func BenchmarkFig7LowEndSMTs(b *testing.B) {
-	benchFigure(b, (*harness.Suite).Figure7)
+	benchFigure(b, 7)
 }
 
 // BenchmarkFig8HighEndSMTs regenerates Figure 8 (the same on the 4-chip
 // machine).
 func BenchmarkFig8HighEndSMTs(b *testing.B) {
-	benchFigure(b, (*harness.Suite).Figure8)
+	benchFigure(b, 8)
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed

@@ -15,8 +15,9 @@
 //     the bundled RISC ISA calibrated to the paper's Figure 6 points.
 //   - Simulate: run one (workload × machine) simulation and get the
 //     cycle count plus the §4.1 issue-slot breakdown.
-//   - Suite: run and cache experiment matrices; regenerate Figures
-//     4, 5, 7 and 8 and the Figure 6 placements.
+//   - Suite: run and cache experiment matrices; regenerate the paper
+//     figures through one table (Suite.FigureByNumber: 4, 5, 7, 8)
+//     and the Figure 6 placements.
 //   - Model: the §2 analytical model relating thread-level and
 //     instruction-level parallelism.
 //

@@ -14,9 +14,8 @@
 //
 // Identical submissions are content-addressed (SHA-256 of the resolved
 // machine + workload spec) and served from cache in microseconds; with
-// -cache-dir the cache survives restarts. Graceful shutdown (SIGINT/
-// SIGTERM) stops admission, drains running jobs, and persists the
-// cache index.
+// -cache-dir the cache survives restarts, crashes included. Graceful
+// shutdown (SIGINT/SIGTERM) stops admission and drains running jobs.
 //
 // Several daemons form a fabric: one runs with -coordinator and the
 // rest join it with -join. The coordinator routes each job to the
@@ -51,13 +50,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"clustersmt/internal/alloc"
+	"clustersmt/internal/cli"
 	"clustersmt/internal/service"
-	"clustersmt/internal/version"
 	"clustersmt/internal/workloads"
 )
 
@@ -69,12 +66,8 @@ func main() {
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 
 	addr := flag.String("addr", ":8421", "listen address (host:port; port 0 picks a free port)")
-	sizeName := flag.String("size", "ref", "default input size for jobs and figures: test or ref")
 	workers := flag.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
 	queueCap := flag.Int("queue", service.DefaultQueueCap, "job queue capacity (full queue returns 429)")
-	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every simulation (default static; see -list-policies)")
-	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
-	listPolicies := flag.Bool("list-policies", false, "list the registered allocation policies and exit")
 	cacheDir := flag.String("cache-dir", "", "persist results under this directory (survives restarts)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory result cache entries (0 = default)")
 	maxCycles := flag.Int64("max-cycles", 0, "per-simulation cycle bound (0 = core default)")
@@ -92,35 +85,20 @@ func main() {
 	advertiseURL := flag.String("advertise", "", "base URL peers reach this worker at (default: http://127.0.0.1:<bound port>)")
 	heartbeat := flag.Duration("heartbeat", service.DefaultHeartbeatInterval, "worker heartbeat interval")
 	heartbeatTimeout := flag.Duration("heartbeat-timeout", 0, "evict workers whose last heartbeat is older than this (0 = 3 intervals)")
-	showVersion := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String())
-		return
-	}
-	if *listPolicies {
-		for _, p := range alloc.List() {
-			fmt.Printf("%-10s %s\n", p.Name, p.Desc)
-		}
-		return
-	}
+	shared := cli.New(flag.CommandLine)
+	shared.AddSize(workloads.SizeRef)
+	shared.AddAlloc(true)
 	// A typoed -alloc fails at startup with the registered list, not on
 	// the first job.
-	if _, err := alloc.New(*allocPolicy); err != nil {
+	if exit, err := shared.Parse(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
+	} else if exit {
+		return
 	}
 	if *coordinator && *joinURL != "" {
 		log.Fatal("-coordinator and -join are mutually exclusive")
 	}
-
-	size := workloads.SizeRef
-	switch strings.ToLower(*sizeName) {
-	case "ref":
-	case "test":
-		size = workloads.SizeTest
-	default:
-		log.Fatalf("unknown size %q (want test or ref)", *sizeName)
-	}
+	size := shared.Size
 
 	svc, err := service.New(service.Options{
 		DefaultSize:     size,
@@ -130,8 +108,8 @@ func main() {
 		CacheDir:        *cacheDir,
 		MaxCycles:       *maxCycles,
 		WarmupCycles:    *warmupCycles,
-		AllocPolicy:     *allocPolicy,
-		AllocEpoch:      *allocEpoch,
+		AllocPolicy:     shared.Alloc,
+		AllocEpoch:      shared.AllocEpoch,
 		MetricsInterval: *metricsInterval,
 		MetricsRingCap:  *metricsRing,
 
@@ -200,7 +178,7 @@ func main() {
 	defer stop()
 	select {
 	case <-ctx.Done():
-		log.Printf("shutting down: draining jobs (up to %s) and persisting cache index", *drainTimeout)
+		log.Printf("shutting down: draining jobs (up to %s)", *drainTimeout)
 	case err := <-serveErr:
 		log.Fatal(err)
 	}

@@ -13,21 +13,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"clustersmt"
-	"clustersmt/internal/alloc"
+	"clustersmt/internal/cli"
 	"clustersmt/internal/config"
 	"clustersmt/internal/core"
+	"clustersmt/internal/harness"
 	"clustersmt/internal/obs"
-	"clustersmt/internal/version"
 )
 
 func main() {
@@ -37,10 +36,6 @@ func main() {
 	archName := flag.String("arch", "SMT2", "architecture: FA8, FA4, FA2, FA1, SMT8, SMT4, SMT2, SMT1")
 	appName := flag.String("app", "ocean", "application: swim, tomcatv, mgrid, vpenta, fmm, ocean (paper) or radix, lu (extras)")
 	highEnd := flag.Bool("highend", false, "simulate the 4-chip high-end machine instead of the 1-chip low-end")
-	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy (default static; see -list-policies)")
-	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
-	listPolicies := flag.Bool("list-policies", false, "list the registered allocation policies and exit")
-	sizeName := flag.String("size", "ref", "input size: test or ref")
 	verbose := flag.Bool("v", false, "print extended statistics")
 	jsonOut := flag.Bool("json", false, "print the full result as JSON instead of the text report (same encoding clusterd serves)")
 	tracePath := flag.String("trace", "", "write a pipeline trace to this file")
@@ -51,68 +46,31 @@ func main() {
 	metricsInterval := flag.Int64("metrics-interval", core.DefaultMetricsInterval, "cycles per metrics frame")
 	metricsFormat := flag.String("metrics-format", "", "metrics format: csv or json (default: by file extension, csv otherwise)")
 	metricsRing := flag.Int("metrics-ring", 0, "retain at most this many frames (0 = default ring size; oldest dropped)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	showVersion := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String())
-		return
-	}
-	if *listPolicies {
-		for _, p := range alloc.List() {
-			fmt.Printf("%-10s %s\n", p.Name, p.Desc)
-		}
-		return
-	}
-	// Fail a typoed -alloc before any simulation work; the error lists
-	// every registered policy.
-	if _, err := alloc.New(*allocPolicy); err != nil {
+	shared := cli.New(flag.CommandLine)
+	shared.AddSize(clustersmt.SizeRef)
+	shared.AddAlloc(true)
+	shared.AddProfiles()
+	if exit, err := shared.Parse(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
+	} else if exit {
+		return
 	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
+	defer func() {
+		if err := shared.Close(); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the profile reflects live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
+	}()
 
 	arch, err := clustersmt.ArchByName(*archName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	size := clustersmt.SizeRef
-	switch strings.ToLower(*sizeName) {
-	case "ref":
-	case "test":
-		size = clustersmt.SizeTest
-	default:
-		log.Fatalf("unknown size %q (want test or ref)", *sizeName)
-	}
+	size := shared.Size
 	m := clustersmt.LowEnd(arch)
 	if *highEnd {
 		m = clustersmt.HighEnd(arch)
 	}
-	m.Alloc = config.AllocConfig{Policy: *allocPolicy, Epoch: *allocEpoch}
+	m.Alloc = config.AllocConfig{Policy: shared.Alloc, Epoch: shared.AllocEpoch}
 
 	w, err := clustersmt.WorkloadByName(*appName)
 	if err != nil {
@@ -123,21 +81,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *allocPolicy == "oracle" {
-		// The oracle is an offline search, not a runtime policy: profile
-		// every canonical static assignment over a short prefix and
-		// install the winner before the measured run (same budget as the
-		// harness).
-		sm := m
-		sm.Alloc = config.AllocConfig{}
-		mk := func() (*core.Simulator, error) {
-			return core.New(sm, w.Build(sm.Threads(), sm.Chips, size))
-		}
-		best, _, err := core.SearchStatic(mk, 20_000, 64)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sim.SetAssignment(best); err != nil {
+	if shared.Alloc == "oracle" {
+		if err := harness.OracleAssign(context.Background(), sim, m, w, size); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -211,7 +156,7 @@ func main() {
 		res.LockAcquires, res.LockConflicts, res.BarrierWaits)
 	if res.AllocEpochs > 0 {
 		fmt.Println("allocation:")
-		fmt.Printf("  policy=%s epochs=%d migrations=%d\n", *allocPolicy, res.AllocEpochs, res.AllocMigrations)
+		fmt.Printf("  policy=%s epochs=%d migrations=%d\n", shared.Alloc, res.AllocEpochs, res.AllocMigrations)
 	}
 	fmt.Println("front end:")
 	fmt.Printf("  branch-mispredict=%.2f%% (%d/%d) btb-mispredict=%d/%d rename-stalls=%d window-stalls=%d forwarded-loads=%d\n",
@@ -220,7 +165,6 @@ func main() {
 	if len(res.PerThreadCommitted) <= 32 {
 		fmt.Printf("per-thread instructions: %v\n", res.PerThreadCommitted)
 	}
-	_ = os.Stdout
 }
 
 // writeMetrics exports the frame ring to path. The format is csv or

@@ -6,9 +6,12 @@
 //
 // Usage:
 //
-//	paperfigs [-size ref] [-only fig4,fig7] [-o report.md]
+//	paperfigs [-size ref] [-only fig4,fig7] [-o report.md] [-bars]
 //	          [-progress] [-metrics metricsdir] [-warmup-cycles N]
-//	          [-cpuprofile cpu.out] [-memprofile mem.out]
+//	          [-alloc-epoch N] [-cpuprofile cpu.out] [-memprofile mem.out]
+//
+// The shared flags (-size, -alloc-epoch, the profiles, -version) are
+// defined in internal/cli.
 package main
 
 import (
@@ -20,17 +23,15 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 
 	"clustersmt"
+	"clustersmt/internal/cli"
 	"clustersmt/internal/config"
 	"clustersmt/internal/harness"
 	"clustersmt/internal/isa"
 	"clustersmt/internal/model"
-	"clustersmt/internal/version"
 	"clustersmt/internal/workloads"
 )
 
@@ -38,7 +39,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperfigs: ")
 
-	sizeName := flag.String("size", "ref", "input size: test or ref")
 	only := flag.String("only", "", "comma-separated subset: table1,table2,table3,fig1,fig4,fig5,fig6,fig7,fig8,alloc,conclusion,model,mix")
 	outPath := flag.String("o", "", "also write the report to this file")
 	bars := flag.Bool("bars", false, "also draw paper-style stacked bars")
@@ -46,45 +46,22 @@ func main() {
 	metricsDir := flag.String("metrics", "", "export each run's interval metrics as CSV into this directory")
 	metricsInterval := flag.Int64("metrics-interval", clustersmt.DefaultMetricsInterval, "cycles per metrics frame")
 	warmupCycles := flag.Int64("warmup-cycles", 0, "fork prefix-declaring workloads from a checkpoint warmed to this cycle (0 = off)")
-	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval for the alloc figure's dynamic policies (0 = figure default)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	showVersion := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String())
+	shared := cli.New(flag.CommandLine)
+	shared.AddSize(clustersmt.SizeRef)
+	shared.AddAllocEpoch()
+	shared.AddProfiles()
+	if exit, err := shared.Parse(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	} else if exit {
 		return
 	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
+	defer func() {
+		if err := shared.Close(); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the profile reflects live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
+	}()
 
-	size := clustersmt.SizeRef
-	if strings.ToLower(*sizeName) == "test" {
-		size = clustersmt.SizeTest
-	}
+	size := shared.Size
 	want := map[string]bool{}
 	if *only != "" {
 		for _, k := range strings.Split(*only, ",") {
@@ -159,19 +136,11 @@ func main() {
 	if sel("fig1") {
 		fmt.Fprintln(out, fig1())
 	}
-	for _, f := range []struct {
-		key string
-		fn  func(context.Context) (*harness.Figure, error)
-	}{
-		{"fig4", suite.Figure4Context},
-		{"fig5", suite.Figure5Context},
-		{"fig7", suite.Figure7Context},
-		{"fig8", suite.Figure8Context},
-	} {
-		if !sel(f.key) {
+	for _, n := range []int{4, 5, 7, 8} {
+		if !sel(fmt.Sprintf("fig%d", n)) {
 			continue
 		}
-		fig, err := f.fn(ctx)
+		fig, err := suite.FigureByNumber(ctx, n)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -189,7 +158,7 @@ func main() {
 		fmt.Fprintln(out)
 	}
 	if sel("alloc") {
-		fig, err := harness.AllocationFigure(ctx, size, *allocEpoch)
+		fig, err := harness.AllocationFigure(ctx, size, shared.AllocEpoch)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,9 +12,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"clustersmt"
-	"clustersmt/internal/version"
+	"clustersmt/internal/cli"
 )
 
 func main() {
@@ -24,10 +25,9 @@ func main() {
 	threads := flag.Float64("threads", 5, "application thread-level parallelism")
 	ilp := flag.Float64("ilp", 1.6, "application ILP per thread")
 	archName := flag.String("arch", "SMT2", "architecture to chart")
-	showVersion := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String())
+	if exit, err := cli.New(flag.CommandLine).Parse(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	} else if exit {
 		return
 	}
 

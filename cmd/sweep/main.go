@@ -26,14 +26,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
 
 	"clustersmt"
-	"clustersmt/internal/alloc"
+	"clustersmt/internal/cli"
 	"clustersmt/internal/harness"
-	"clustersmt/internal/version"
 )
 
 func main() {
@@ -41,16 +41,15 @@ func main() {
 	log.SetPrefix("sweep: ")
 
 	archList := flag.String("archs", "FA8,FA4,FA2,FA1,SMT2", "comma-separated architectures to race")
-	sizeName := flag.String("size", "test", "input size: test or ref")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max simultaneous simulations")
 	warmupIters := flag.Int64("warmup-iters", 0, "prepend a shared warm-up prefix of N serial iterations to every grid cell")
 	warmupCycles := flag.Int64("warmup-cycles", 0, "checkpoint the warm-up at this cycle and fork grid cells from it (0 = off)")
-	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every grid cell (default static)")
-	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
-	showVersion := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String())
+	shared := cli.New(flag.CommandLine)
+	shared.AddSize(clustersmt.SizeTest)
+	shared.AddAlloc(false)
+	if exit, err := shared.Parse(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	} else if exit {
 		return
 	}
 
@@ -62,19 +61,11 @@ func main() {
 		}
 		archs = append(archs, a)
 	}
-	size := clustersmt.SizeTest
-	if strings.ToLower(*sizeName) == "ref" {
-		size = clustersmt.SizeRef
-	}
-
-	if _, err := alloc.New(*allocPolicy); err != nil {
-		log.Fatal(err)
-	}
-	suite := harness.NewSuite(size)
+	suite := harness.NewSuite(shared.Size)
 	suite.SetParallelism(*parallel)
 	suite.WarmupCycles = *warmupCycles
-	suite.AllocPolicy = *allocPolicy
-	suite.AllocEpoch = *allocEpoch
+	suite.AllocPolicy = shared.Alloc
+	suite.AllocEpoch = shared.AllocEpoch
 
 	// Plane axes: ParCap (threads) × ChainLen (inverse ILP).
 	caps := []int{1, 2, 4, 0} // 0 = all 8 contexts

@@ -141,11 +141,11 @@ func TestAllocDeterminism(t *testing.T) {
 
 // TestAllocParallelDeterminism pins dynamic policies under concurrent
 // execution: the allocation figure computes its rows concurrently and
-// Suite/RunMatrix run cells on parallel goroutines, so simulators that
-// run a policy at the same time — on the same and on different
-// machines, under both cycle loops — must each produce the Result of
-// the same run made alone. No allocator, policy or simulator state may
-// be shared between runs.
+// Suite.RunMatrixContext runs cells on parallel goroutines, so
+// simulators that run a policy at the same time — on the same and on
+// different machines, under both cycle loops — must each produce the
+// Result of the same run made alone. No allocator, policy or simulator
+// state may be shared between runs.
 func TestAllocParallelDeterminism(t *testing.T) {
 	for _, pol := range []string{"icount", "symbiosis"} {
 		t.Run(pol, func(t *testing.T) {

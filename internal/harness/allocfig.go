@@ -13,17 +13,6 @@ import (
 	"clustersmt/internal/workloads"
 )
 
-// Allocation-figure search budget: every candidate static assignment
-// of the mix is profiled for allocSearchPrefix cycles, with the
-// canonical enumeration capped at allocSearchCap candidates. The cap
-// keeps the high-end rows, whose assignment spaces are huge, bounded;
-// enumeration order is deterministic, so the cap never introduces
-// run-to-run variance.
-const (
-	allocSearchPrefix = 20_000
-	allocSearchCap    = 64
-)
-
 // allocFigEpoch is the rebalance interval the allocation figure uses
 // when the caller does not pick one. The figure's multiprogrammed
 // mixes finish in a few hundred thousand cycles at test size, so the
@@ -196,7 +185,7 @@ func allocRow(ctx context.Context, m config.Machine, size workloads.Size, epoch 
 		sim.Interrupt = ctx.Done()
 		return sim, nil
 	}
-	best, worst, err := core.SearchStatic(mk, allocSearchPrefix, allocSearchCap)
+	best, worst, err := core.SearchStatic(mk, oraclePrefixCycles, oracleMaxCandidates)
 	if err != nil {
 		return nil, fmt.Errorf("harness: alloc figure %s: search: %w", m.Name, err)
 	}

@@ -117,9 +117,9 @@ func TestRunContextCanceledOwnerHandsOff(t *testing.T) {
 	}
 }
 
-// TestRunMatrixConcurrentCallers races several full RunMatrix calls on
-// one shared suite (the clusterd serving pattern: overlapping figure
-// requests). Every caller must observe the same cached results — the
+// TestRunMatrixConcurrentCallers races several full RunMatrixContext
+// calls on one shared suite (the clusterd serving pattern: overlapping
+// figure requests). Every caller must observe the same cached results — the
 // singleflight shares one *core.Result per physical configuration.
 func TestRunMatrixConcurrentCallers(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)

@@ -312,7 +312,7 @@ func (s *Suite) simulate(ctx context.Context, app workloads.Workload, m config.M
 			return nil, fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, err)
 		}
 		if pol == "oracle" {
-			if err := s.oracleAssign(ctx, sim, m, app); err != nil {
+			if err := OracleAssign(ctx, sim, m, app, s.Size); err != nil {
 				return nil, fmt.Errorf("harness: %s on %s: oracle search: %w", app.Name, m.Name, err)
 			}
 		}
@@ -363,24 +363,29 @@ func (s *Suite) simulate(ctx context.Context, app workloads.Workload, m config.M
 	return r, nil
 }
 
-// Oracle-search budget: each candidate static assignment is profiled
-// for this many cycles, and the canonical enumeration is capped at
-// this many candidates (core.SearchStatic).
+// Oracle-search budget (core.SearchStatic), shared by the oracle
+// policy and the allocation figure: each candidate static assignment
+// is profiled for oraclePrefixCycles cycles, and the canonical
+// enumeration is capped at oracleMaxCandidates candidates. The cap
+// keeps high-end machines, whose assignment spaces are huge, bounded;
+// enumeration order is deterministic, so the cap never introduces
+// run-to-run variance.
 const (
 	oraclePrefixCycles  = 20_000
 	oracleMaxCandidates = 64
 )
 
-// oracleAssign replaces sim's seed placement with the best static
+// OracleAssign replaces sim's seed placement with the best static
 // assignment found by profiling every canonical assignment of the same
-// workload for a short prefix under the static policy
-// (core.SearchStatic). The throwaway search runs are sequential and
-// abort with ctx.
-func (s *Suite) oracleAssign(ctx context.Context, sim *core.Simulator, m config.Machine, app workloads.Workload) error {
+// workload (built at size on machine m) for a short prefix under the
+// static policy. The throwaway search runs are sequential and abort
+// with ctx. It is the "oracle" allocation policy: an offline search,
+// not a runtime policy.
+func OracleAssign(ctx context.Context, sim *core.Simulator, m config.Machine, app workloads.Workload, size workloads.Size) error {
 	sm := m
 	sm.Alloc = config.AllocConfig{}
 	mk := func() (*core.Simulator, error) {
-		probe, err := core.New(sm, app.Build(sm.Threads(), sm.Chips, s.Size))
+		probe, err := core.New(sm, app.Build(sm.Threads(), sm.Chips, size))
 		if err != nil {
 			return nil, err
 		}
@@ -450,14 +455,9 @@ func (s *Suite) WriteMetricsJSON(w io.Writer, run string) error {
 	return ring.WriteJSON(w)
 }
 
-// RunMatrix runs every (app × arch) pair concurrently and returns the
-// results indexed [app][arch.Name].
-func (s *Suite) RunMatrix(apps []workloads.Workload, archs []config.Arch, highEnd bool) (map[string]map[string]*core.Result, error) {
-	return s.RunMatrixContext(context.Background(), apps, archs, highEnd)
-}
-
-// RunMatrixContext is RunMatrix with caller cancellation: once ctx is
-// done, in-flight simulations abort promptly and the matrix returns the
+// RunMatrixContext runs every (app × arch) pair concurrently and
+// returns the results indexed [app][arch.Name]. Once ctx is done,
+// in-flight simulations abort promptly and the matrix returns the
 // cancellation error. It is safe for concurrent callers — overlapping
 // matrices share cached runs through the singleflight.
 func (s *Suite) RunMatrixContext(ctx context.Context, apps []workloads.Workload, archs []config.Arch, highEnd bool) (map[string]map[string]*core.Result, error) {
@@ -612,86 +612,52 @@ func buildFigure(title string, apps []workloads.Workload, archs []config.Arch,
 	return f
 }
 
-// Figure4 reproduces Figure 4: FA processors vs the clustered SMT2 on
-// the low-end machine.
-func (s *Suite) Figure4() (*Figure, error) { return s.Figure4Context(context.Background()) }
-
-// Figure4Context is Figure4 with caller cancellation.
-func (s *Suite) Figure4Context(ctx context.Context) (*Figure, error) {
-	apps := workloads.All()
-	res, err := s.RunMatrixContext(ctx, apps, FAFigureArchs, false)
-	if err != nil {
-		return nil, err
-	}
-	return buildFigure("Figure 4: FA vs clustered SMT, low-end machine", apps, FAFigureArchs, res), nil
+// paperFigure is one of the paper's execution-time experiments: the
+// six applications on an architecture set and a machine.
+type paperFigure struct {
+	title   string
+	archs   []config.Arch
+	highEnd bool
 }
 
-// Figure5 reproduces Figure 5: the same comparison on the 4-chip
-// high-end machine.
-func (s *Suite) Figure5() (*Figure, error) { return s.Figure5Context(context.Background()) }
-
-// Figure5Context is Figure5 with caller cancellation.
-func (s *Suite) Figure5Context(ctx context.Context) (*Figure, error) {
-	apps := workloads.All()
-	res, err := s.RunMatrixContext(ctx, apps, FAFigureArchs, true)
-	if err != nil {
-		return nil, err
-	}
-	return buildFigure("Figure 5: FA vs clustered SMT, high-end machine", apps, FAFigureArchs, res), nil
+// paperFigures maps each figure number to its experiment: Figures 4/5
+// compare the FA processors with the clustered SMT2, Figures 7/8 the
+// clustered with the centralized SMTs, each on the low-end (1-chip)
+// and the high-end (4-chip) machine.
+var paperFigures = map[int]paperFigure{
+	4: {"Figure 4: FA vs clustered SMT, low-end machine", FAFigureArchs, false},
+	5: {"Figure 5: FA vs clustered SMT, high-end machine", FAFigureArchs, true},
+	7: {"Figure 7: clustered vs centralized SMT, low-end machine", SMTFigureArchs, false},
+	8: {"Figure 8: clustered vs centralized SMT, high-end machine", SMTFigureArchs, true},
 }
 
-// Figure7 reproduces Figure 7: clustered vs centralized SMTs, low-end.
-func (s *Suite) Figure7() (*Figure, error) { return s.Figure7Context(context.Background()) }
-
-// Figure7Context is Figure7 with caller cancellation.
-func (s *Suite) Figure7Context(ctx context.Context) (*Figure, error) {
-	apps := workloads.All()
-	res, err := s.RunMatrixContext(ctx, apps, SMTFigureArchs, false)
-	if err != nil {
-		return nil, err
-	}
-	return buildFigure("Figure 7: clustered vs centralized SMT, low-end machine", apps, SMTFigureArchs, res), nil
+// IsFigure reports whether n names a paper figure FigureByNumber
+// reproduces.
+func IsFigure(n int) bool {
+	_, ok := paperFigures[n]
+	return ok
 }
 
-// Figure8 reproduces Figure 8: clustered vs centralized SMTs, high-end.
-func (s *Suite) Figure8() (*Figure, error) { return s.Figure8Context(context.Background()) }
-
-// Figure8Context is Figure8 with caller cancellation.
-func (s *Suite) Figure8Context(ctx context.Context) (*Figure, error) {
-	apps := workloads.All()
-	res, err := s.RunMatrixContext(ctx, apps, SMTFigureArchs, true)
-	if err != nil {
-		return nil, err
-	}
-	return buildFigure("Figure 8: clustered vs centralized SMT, high-end machine", apps, SMTFigureArchs, res), nil
-}
-
-// FigureByNumber resolves a paper figure (4, 5, 7 or 8) to its
-// generator — the serving subsystem's figure endpoint dispatch.
+// FigureByNumber reproduces paper figure n (4, 5, 7 or 8). Once ctx is
+// done, in-flight simulations abort and the cancellation is returned.
 func (s *Suite) FigureByNumber(ctx context.Context, n int) (*Figure, error) {
-	switch n {
-	case 4:
-		return s.Figure4Context(ctx)
-	case 5:
-		return s.Figure5Context(ctx)
-	case 7:
-		return s.Figure7Context(ctx)
-	case 8:
-		return s.Figure8Context(ctx)
+	pf, ok := paperFigures[n]
+	if !ok {
+		return nil, fmt.Errorf("harness: no figure %d (want 4, 5, 7 or 8)", n)
 	}
-	return nil, fmt.Errorf("harness: no figure %d (want 4, 5, 7 or 8)", n)
+	apps := workloads.All()
+	res, err := s.RunMatrixContext(ctx, apps, pf.archs, pf.highEnd)
+	if err != nil {
+		return nil, err
+	}
+	return buildFigure(pf.title, apps, pf.archs, res), nil
 }
 
-// Placement measures each application's Figure 6 point: thread
+// PlacementContext measures each application's Figure 6 point: thread
 // parallelism as the average running threads on FA8 (the architecture
 // enabling the most thread parallelism) and per-thread ILP as the
 // useful IPC per running thread on FA1 (the architecture enabling the
 // most ILP).
-func (s *Suite) Placement(highEnd bool) (map[string]model.Point, error) {
-	return s.PlacementContext(context.Background(), highEnd)
-}
-
-// PlacementContext is Placement with caller cancellation.
 func (s *Suite) PlacementContext(ctx context.Context, highEnd bool) (map[string]model.Point, error) {
 	apps := workloads.All()
 	res, err := s.RunMatrixContext(ctx, apps, []config.Arch{config.FA8, config.FA1}, highEnd)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"io"
@@ -43,7 +44,7 @@ func TestSuiteCachesRuns(t *testing.T) {
 
 func TestFigureAccessors(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
-	fig, err := s.Figure4()
+	fig, err := s.FigureByNumber(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestFigureGetPanicsOnUnknown(t *testing.T) {
 
 func TestPlacementShape(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
-	pts, err := s.Placement(false)
+	pts, err := s.PlacementContext(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func refSuite(t *testing.T) *Suite {
 // for tomcatv and mgrid — and that the clustered SMT2 takes the fewest
 // cycles for every application.
 func TestPaperFigure4SweetSpots(t *testing.T) {
-	fig, err := refSuite(t).Figure4()
+	fig, err := refSuite(t).FigureByNumber(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestPaperFigure4SweetSpots(t *testing.T) {
 // headline: on average SMT2 takes noticeably fewer cycles than the best
 // per-application FA processor (the paper measures 13%; we accept 5-25%).
 func TestPaperFigure4SMT2Advantage(t *testing.T) {
-	fig, err := refSuite(t).Figure4()
+	fig, err := refSuite(t).FigureByNumber(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestPaperFigure4SMT2Advantage(t *testing.T) {
 // parallel applications keep FA8, and SMT2 again has the lowest
 // execution time everywhere.
 func TestPaperFigure5HighEnd(t *testing.T) {
-	fig, err := refSuite(t).Figure5()
+	fig, err := refSuite(t).FigureByNumber(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestPaperFigure5HighEnd(t *testing.T) {
 // the originals, which exposes SMT1's narrower Table 2 FU mix; see
 // EXPERIMENTS.md).
 func TestPaperFigure7Clustering(t *testing.T) {
-	fig, err := refSuite(t).Figure7()
+	fig, err := refSuite(t).FigureByNumber(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestPaperFigure7Clustering(t *testing.T) {
 // (most threads, least ILP); every application inside SMT2's optimal
 // region except possibly tomcatv.
 func TestPaperFigure6Placements(t *testing.T) {
-	pts, err := refSuite(t).Placement(false)
+	pts, err := refSuite(t).PlacementContext(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +256,11 @@ func TestPaperFigure6Placements(t *testing.T) {
 // left and down relative to the low-end points (§5.1.1).
 func TestPaperFigure6HighEndShift(t *testing.T) {
 	s := refSuite(t)
-	low, err := s.Placement(false)
+	low, err := s.PlacementContext(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := s.Placement(true)
+	high, err := s.PlacementContext(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestPaperFigure6HighEndShift(t *testing.T) {
 // for the mid-parallelism applications, both FA8 (too narrow) and FA1
 // (too few threads) are worse than the interior sweet spot.
 func TestPaperUShape(t *testing.T) {
-	fig, err := refSuite(t).Figure4()
+	fig, err := refSuite(t).FigureByNumber(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestPaperUShape(t *testing.T) {
 func TestPaperConclusionCycleTime(t *testing.T) {
 	s := refSuite(t)
 	for _, highEnd := range []bool{false, true} {
-		c, err := s.Conclusion(highEnd)
+		c, err := s.ConclusionContext(context.Background(), highEnd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +355,7 @@ func TestAdjustClockAlgebra(t *testing.T) {
 
 func TestRenderBars(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
-	fig, err := s.Figure4()
+	fig, err := s.FigureByNumber(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestStackedBarExactWidth(t *testing.T) {
 // require at least 4 of 6 — the model ignores cache effects and serial
 // sections by design).
 func TestPaperModelConsistency(t *testing.T) {
-	v, err := refSuite(t).ValidateModel(false)
+	v, err := refSuite(t).ValidateModelContext(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +411,7 @@ func TestPaperModelConsistency(t *testing.T) {
 
 func TestFigureCSV(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
-	fig, err := s.Figure7()
+	fig, err := s.FigureByNumber(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestFigureCSV(t *testing.T) {
 func TestConcurrentSuiteDeterminism(t *testing.T) {
 	run := func() map[string]int64 {
 		s := NewSuite(workloads.SizeTest)
-		fig, err := s.Figure4()
+		fig, err := s.FigureByNumber(context.Background(), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +461,7 @@ func TestConcurrentSuiteDeterminism(t *testing.T) {
 // near the front.
 func TestExtendedEvaluationExtras(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
-	res, err := s.RunMatrix(workloads.Extras(), FAFigureArchs, false)
+	res, err := s.RunMatrixContext(context.Background(), workloads.Extras(), FAFigureArchs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +501,7 @@ func TestSuiteMetricsAndHeartbeat(t *testing.T) {
 	archs := []config.Arch{config.SMT2, config.FA4}
 
 	plain := NewSuite(workloads.SizeTest)
-	ref, err := plain.RunMatrix(apps, archs, false)
+	ref, err := plain.RunMatrixContext(context.Background(), apps, archs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +515,7 @@ func TestSuiteMetricsAndHeartbeat(t *testing.T) {
 		beats[app+"@"+machine]++
 		mu.Unlock()
 	}
-	got, err := s.RunMatrix(apps, archs, false)
+	got, err := s.RunMatrixContext(context.Background(), apps, archs, false)
 	if err != nil {
 		t.Fatal(err)
 	}

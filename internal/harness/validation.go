@@ -63,22 +63,15 @@ func (v *ModelValidation) Render() string {
 	return b.String()
 }
 
-// ValidateModel runs the Figure 4/5 experiment and the Figure 6
+// ValidateModelContext runs the Figure 4/5 experiment and the Figure 6
 // placement measurement, then asks the analytical model which FA
 // processor each application point favors.
-func (s *Suite) ValidateModel(highEnd bool) (*ModelValidation, error) {
-	return s.ValidateModelContext(context.Background(), highEnd)
-}
-
-// ValidateModelContext is ValidateModel with caller cancellation.
 func (s *Suite) ValidateModelContext(ctx context.Context, highEnd bool) (*ModelValidation, error) {
-	var fig *Figure
-	var err error
+	n := 4
 	if highEnd {
-		fig, err = s.Figure5Context(ctx)
-	} else {
-		fig, err = s.Figure4Context(ctx)
+		n = 5
 	}
+	fig, err := s.FigureByNumber(ctx, n)
 	if err != nil {
 		return nil, err
 	}

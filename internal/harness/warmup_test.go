@@ -44,11 +44,11 @@ func TestWarmupSharingBitIdentical(t *testing.T) {
 		warm.MetricsInterval = 256
 		warm.WarmupCycles = warmupTestCycles
 
-		want, err := scratch.RunMatrix(apps, []config.Arch{arch}, false)
+		want, err := scratch.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := warm.RunMatrix(apps, []config.Arch{arch}, false)
+		got, err := warm.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestWarmupSnapshotStore(t *testing.T) {
 	store := newMemStore()
 
 	scratch := NewSuite(workloads.SizeTest)
-	want, err := scratch.RunMatrix(apps, []config.Arch{arch}, false)
+	want, err := scratch.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWarmupSnapshotStore(t *testing.T) {
 	first := NewSuite(workloads.SizeTest)
 	first.WarmupCycles = warmupTestCycles
 	first.Snapshots = store
-	if _, err := first.RunMatrix(apps, []config.Arch{arch}, false); err != nil {
+	if _, err := first.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, restores := first.WarmForks(); restores != 0 {
@@ -126,7 +126,7 @@ func TestWarmupSnapshotStore(t *testing.T) {
 	second := NewSuite(workloads.SizeTest)
 	second.WarmupCycles = warmupTestCycles
 	second.Snapshots = store
-	got, err := second.RunMatrix(apps, []config.Arch{arch}, false)
+	got, err := second.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestWarmupCorruptStoreEntry(t *testing.T) {
 	first := NewSuite(workloads.SizeTest)
 	first.WarmupCycles = warmupTestCycles
 	first.Snapshots = store
-	want, err := first.RunMatrix(apps, []config.Arch{arch}, false)
+	want, err := first.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestWarmupCorruptStoreEntry(t *testing.T) {
 	second := NewSuite(workloads.SizeTest)
 	second.WarmupCycles = warmupTestCycles
 	second.Snapshots = store
-	got, err := second.RunMatrix(apps, []config.Arch{arch}, false)
+	got, err := second.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestWarmupFrameConservation(t *testing.T) {
 		heartbeat[app+"@"+machine] = append(heartbeat[app+"@"+machine], f)
 		mu.Unlock()
 	}
-	if _, err := warm.RunMatrix(apps, []config.Arch{arch}, false); err != nil {
+	if _, err := warm.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, run := range warm.MetricsRuns() {

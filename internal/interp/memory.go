@@ -174,21 +174,6 @@ func (m *Memory) Swap(addr int64, v uint64) uint64 {
 	return old
 }
 
-// Pages reports how many pages have been touched (diagnostics).
-func (m *Memory) Pages() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.pages)
-}
-
-// SharedPages reports how many pages are currently copy-on-write shared
-// with another Memory (diagnostics and tests).
-func (m *Memory) SharedPages() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.cow)
-}
-
 // View is a per-goroutine handle on a shared Memory: it carries its own
 // last-touched-page cache, so concurrent threads never contend except
 // on the first touch of a freshly allocated page. Obtain one with

@@ -128,9 +128,6 @@ func (c *Cache) Sets() int { return c.sets }
 // LineBytes returns the line size in bytes.
 func (c *Cache) LineBytes() int64 { return c.lineBytes }
 
-// LineAddr converts a byte address to its line address.
-func (c *Cache) LineAddr(addr int64) int64 { return addr &^ (c.lineBytes - 1) }
-
 // setIndex returns the set number holding line.
 func (c *Cache) setIndex(line int64) int {
 	return int((line >> c.lineShift) & c.setMask)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
 	"clustersmt/internal/core"
@@ -26,10 +24,9 @@ const (
 // touching a Suite. Tier 2, enabled by a non-empty directory, persists
 // one JSON envelope per result keyed by the hex hash, so identical
 // submissions are served across daemon restarts; disk hits are promoted
-// into the LRU. An index file summarizing the store is persisted on
-// Close for inspection (it is advisory — lookups go straight to the
-// per-entry files, so a stale or missing index never serves stale
-// results).
+// into the LRU. Each envelope is written atomically and read directly,
+// so the store needs no shutdown step: a crashed daemon's directory
+// serves a restart as well as a gracefully closed one's.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int
@@ -37,22 +34,12 @@ type Cache struct {
 	items map[[32]byte]*list.Element
 	dir   string // "" = memory-only
 
-	index map[string]IndexEntry // hex hash -> summary (disk tier only)
-
 	hits, diskHits, misses uint64
 }
 
 type cacheEntry struct {
 	key [32]byte
 	res *core.Result
-}
-
-// IndexEntry is one line of the persisted cache index.
-type IndexEntry struct {
-	Hash    string `json:"hash"`
-	App     string `json:"app"`
-	Machine string `json:"machine"`
-	Cycles  int64  `json:"cycles"`
 }
 
 // envelope is the on-disk per-entry format.
@@ -67,8 +54,7 @@ const DefaultCacheEntries = 256
 
 // NewCache returns a cache holding up to capEntries results in memory
 // (0 = DefaultCacheEntries) and, when dir is non-empty, persisting
-// every stored result under it (the directory is created if needed and
-// any existing index is loaded).
+// every stored result under it (the directory is created if needed).
 func NewCache(capEntries int, dir string) (*Cache, error) {
 	if capEntries <= 0 {
 		capEntries = DefaultCacheEntries
@@ -78,95 +64,13 @@ func NewCache(capEntries int, dir string) (*Cache, error) {
 		ll:    list.New(),
 		items: make(map[[32]byte]*list.Element),
 		dir:   dir,
-		index: make(map[string]IndexEntry),
 	}
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("service: cache dir: %w", err)
 		}
-		if raw, err := os.ReadFile(filepath.Join(dir, "index.json")); err == nil {
-			var entries []IndexEntry
-			if err := json.Unmarshal(raw, &entries); err == nil {
-				for _, e := range entries {
-					c.index[e.Hash] = e
-				}
-			}
-			// A corrupt index is discarded silently: it is advisory, and
-			// reconcile rebuilds it from the envelope files.
-		}
-		if err := c.reconcile(); err != nil {
-			return nil, fmt.Errorf("service: cache reconcile: %w", err)
-		}
 	}
 	return c, nil
-}
-
-// reconcile aligns the loaded index with the envelope files actually
-// present in the cache directory. The index is rewritten only on
-// graceful Close, so a crash leaves it stale in both directions: Puts
-// since the last Close are on disk but unindexed (orphans), and files
-// removed out-of-band still have index lines (dangling). Lookups never
-// trust the index, so neither form can serve a wrong result — but the
-// Index() listing and the persisted summary would lie until the next
-// graceful shutdown. Startup is the one place the directory is scanned,
-// so the cost is one ReadDir plus one decode per orphan.
-func (c *Cache) reconcile() error {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return err
-	}
-	present := make(map[string]bool)
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		hex := strings.TrimSuffix(name, ".json")
-		if !isHexHash(hex) {
-			continue // index.json, stray temp files, anything foreign
-		}
-		present[hex] = true
-		if _, indexed := c.index[hex]; indexed {
-			continue
-		}
-		// Orphan envelope (crash after a Put, before the index rewrite):
-		// adopt it. A torn or corrupt file is skipped — Get treats it as
-		// a miss and the next Put rewrites it atomically.
-		raw, err := os.ReadFile(filepath.Join(c.dir, name))
-		if err != nil {
-			continue
-		}
-		var env envelope
-		if err := json.Unmarshal(raw, &env); err != nil || env.Result == nil || env.Hash != hex {
-			continue
-		}
-		c.index[hex] = IndexEntry{
-			Hash:    hex,
-			App:     env.Result.ProgramName,
-			Machine: env.Result.Machine.Name,
-			Cycles:  env.Result.Cycles,
-		}
-	}
-	for hex := range c.index {
-		if !present[hex] {
-			delete(c.index, hex)
-		}
-	}
-	return nil
-}
-
-// isHexHash reports whether s is a 64-char lowercase hex string — the
-// filename stem Put gives every envelope.
-func isHexHash(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for _, r := range s {
-		if (r < '0' || r > '9') && (r < 'a' || r > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // Get returns the cached result for key and the tier that served it.
@@ -216,38 +120,37 @@ func (c *Cache) miss() {
 func (c *Cache) Put(key [32]byte, spec JobSpec, res *core.Result) error {
 	c.mu.Lock()
 	c.insertLocked(key, res)
-	hex := fmt.Sprintf("%x", key)
-	if c.dir != "" {
-		c.index[hex] = IndexEntry{
-			Hash:    hex,
-			App:     res.ProgramName,
-			Machine: res.Machine.Name,
-			Cycles:  res.Cycles,
-		}
-	}
 	c.mu.Unlock()
 
 	if c.dir == "" {
 		return nil
 	}
-	raw, err := json.Marshal(envelope{Hash: hex, Spec: spec, Result: res})
+	raw, err := json.Marshal(envelope{Hash: fmt.Sprintf("%x", key), Spec: spec, Result: res})
 	if err != nil {
 		return fmt.Errorf("service: encode cache entry: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
+	return writeFileAtomic(c.path(key), raw)
+}
+
+// writeFileAtomic writes data to path through a temp file in the same
+// directory and a rename, so a crash mid-write leaves the old file or
+// none — never a torn one.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*.tmp")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), c.path(key))
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 func (c *Cache) insertLocked(key [32]byte, res *core.Result) {
@@ -290,43 +193,4 @@ func (c *Cache) Stats() Stats {
 		Misses:   c.misses,
 		Disk:     c.dir != "",
 	}
-}
-
-// Index returns the persisted-store summary, sorted by hash.
-func (c *Cache) Index() []IndexEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]IndexEntry, 0, len(c.index))
-	for _, e := range c.index {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return strings.Compare(out[i].Hash, out[j].Hash) < 0 })
-	return out
-}
-
-// Close persists the cache index (disk tier only). The per-entry files
-// are already durable; the index is the human/tooling summary written
-// once at graceful shutdown.
-func (c *Cache) Close() error {
-	if c.dir == "" {
-		return nil
-	}
-	raw, err := json.MarshalIndent(c.Index(), "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(c.dir, "index-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(c.dir, "index.json"))
 }

@@ -16,101 +16,91 @@ import (
 	"clustersmt/internal/workloads"
 )
 
-// TestCacheReconcileStaleIndex is the crash-recovery contract for the
-// disk tier: the index is rewritten only on graceful Close, so a crash
-// leaves it stale — entries for files that are gone (dangling) and
-// files the index never heard of (orphans). A restarted cache must
-// reconcile both directions and keep promoting disk hits.
-func TestCacheReconcileStaleIndex(t *testing.T) {
+// TestCacheRestartServesEnvelopes is the crash-recovery contract for
+// the disk tier: a restarted cache reads the per-entry envelopes
+// directly, with no shutdown step to depend on. An entry written
+// before the restart is a disk hit (then promoted to memory); one
+// removed out-of-band, a torn write, a corrupt file and an envelope
+// without a result are plain misses; stray temp files are ignored.
+func TestCacheRestartServesEnvelopes(t *testing.T) {
 	dir := t.TempDir()
 	res := func(cycles int64) *core.Result {
 		return &core.Result{ProgramName: "swim", Machine: config.LowEnd(config.SMT2), Cycles: cycles}
 	}
 	k1, k2, k3 := [32]byte{1}, [32]byte{2}, [32]byte{3}
+	envPath := func(k [32]byte) string { return filepath.Join(dir, fmt.Sprintf("%x.json", k)) }
 
-	// Cache A: two entries persisted, index written on Close.
+	// Cache A persists three entries and then "crashes" (there is no
+	// Close to skip): k2's envelope vanishes out-of-band, k3's is torn
+	// mid-file, and foreign files appear next to them.
 	a, err := NewCache(0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Put(k1, JobSpec{App: "swim"}, res(100)); err != nil {
+	for i, k := range [][32]byte{k1, k2, k3} {
+		if err := a.Put(k, JobSpec{App: "swim"}, res(int64(100*(i+1)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(envPath(k2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Put(k2, JobSpec{App: "swim"}, res(200)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate the crash window: k2's envelope vanishes out-of-band
-	// (index now dangles), and k3 is Put by a cache that never gets to
-	// Close (orphan envelope the index never saw). A stray temp file
-	// and a corrupt hex-named envelope must both be ignored.
-	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("%x.json", k2))); err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCache(0, dir)
+	raw, err := os.ReadFile(envPath(k3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put(k3, JobSpec{App: "swim"}, res(300)); err != nil {
+	if err := os.WriteFile(envPath(k3), raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// No b.Close(): the crash.
 	if err := os.WriteFile(filepath.Join(dir, "put-123.tmp"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	corrupt := [32]byte{4}
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%x.json", corrupt)), []byte("{torn"), 0o644); err != nil {
+	corrupt, empty := [32]byte{4}, [32]byte{5}
+	if err := os.WriteFile(envPath(corrupt), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(envPath(empty), []byte(`{"hash":"x"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart: the index must list exactly k1 (survivor) and k3
-	// (adopted orphan) — not k2 (dangling), not the corrupt file.
+	// Restart: the survivor is served from disk, then from memory.
 	c, err := NewCache(0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := c.Index()
-	if len(idx) != 2 {
-		t.Fatalf("reconciled index has %d entries, want 2: %+v", len(idx), idx)
+	if r, tier, ok := c.Get(k1); !ok || tier != TierDisk || r.Cycles != 100 {
+		t.Fatalf("surviving entry not served from disk: ok=%v tier=%q", ok, tier)
 	}
-	want := map[string]int64{
-		fmt.Sprintf("%x", k1): 100,
-		fmt.Sprintf("%x", k3): 300,
-	}
-	for _, e := range idx {
-		cycles, ok := want[e.Hash]
-		if !ok {
-			t.Fatalf("unexpected index entry %+v", e)
-		}
-		if e.Cycles != cycles || e.App != "swim" {
-			t.Fatalf("adopted entry wrong: %+v (want cycles %d)", e, cycles)
-		}
-	}
-
-	// Disk hits still promote: first Get is a disk hit, second memory.
-	if r, tier, ok := c.Get(k3); !ok || tier != TierDisk || r.Cycles != 300 {
-		t.Fatalf("orphan entry not served from disk: ok=%v tier=%q", ok, tier)
-	}
-	if _, tier, ok := c.Get(k3); !ok || tier != TierMemory {
+	if _, tier, ok := c.Get(k1); !ok || tier != TierMemory {
 		t.Fatalf("disk hit not promoted to memory: ok=%v tier=%q", ok, tier)
 	}
-	// The dangling and corrupt entries are plain misses.
-	if _, _, ok := c.Get(k2); ok {
-		t.Fatal("dangling entry served a result")
+	for name, k := range map[string][32]byte{"removed": k2, "torn": k3, "corrupt": corrupt, "result-less": empty} {
+		if _, _, ok := c.Get(k); ok {
+			t.Fatalf("%s envelope served a result", name)
+		}
 	}
-	if _, _, ok := c.Get(corrupt); ok {
-		t.Fatal("corrupt envelope served a result")
+	if st := c.Stats(); st.DiskHits != 1 || st.Hits != 1 || st.Misses != 4 {
+		t.Fatalf("restart stats %+v, want 1 disk hit, 1 memory hit, 4 misses", st)
+	}
+
+	// A fresh Put over the torn entry rewrites it whole.
+	if err := c.Put(k3, JobSpec{App: "swim"}, res(300)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewCache(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, tier, ok := d.Get(k3); !ok || tier != TierDisk || r.Cycles != 300 {
+		t.Fatalf("rewritten entry not served from disk: ok=%v tier=%q", ok, tier)
 	}
 }
 
 // TestServiceDiskCacheRecoversFromCrash is the server-level restart
-// test: server A completes a job and dies without the graceful Close
-// (no index rewrite), its index is additionally corrupted on disk, and
-// server B on the same directory must still list the entry and serve
-// the same spec instantly from the disk tier with identical bytes.
+// test: server A completes a job and dies without the graceful Close,
+// leaving a half-written temp file behind, and server B on the same
+// directory must serve the same spec instantly from the disk tier with
+// identical bytes.
 func TestServiceDiskCacheRecoversFromCrash(t *testing.T) {
 	dir := t.TempDir()
 	spec := JobSpec{App: "tomcatv", Arch: "FA4"}
@@ -129,9 +119,9 @@ func TestServiceDiskCacheRecoversFromCrash(t *testing.T) {
 		t.Fatalf("job on A failed: %+v", first)
 	}
 	tsA.Close()
-	// Crash: no srvA.Close(ctx), so index.json was never written for
-	// this entry; make it actively wrong rather than merely missing.
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(`[{"hash":"feed`), 0o644); err != nil {
+	// Crash: no srvA.Close(ctx), and a write that never reached its
+	// rename is left in the directory.
+	if err := os.WriteFile(filepath.Join(dir, "put-456.tmp"), []byte(`{"hash":"feed`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Silence the leaked pool on test exit.
@@ -149,14 +139,11 @@ func TestServiceDiskCacheRecoversFromCrash(t *testing.T) {
 	defer tsB.Close()
 	defer srvB.Close(context.Background())
 
-	if idx := srvB.cache.Index(); len(idx) != 1 || idx[0].Hash != first.Hash {
-		t.Fatalf("index after crash restart: %+v (want 1 entry, hash %s)", idx, first.Hash)
-	}
 	status, second, _ := submit(t, tsB, spec)
 	if status != http.StatusOK {
 		t.Fatalf("resubmission on B: status %d, want 200 (instant)", status)
 	}
-	if !second.CacheHit || second.CacheTier != TierDisk {
+	if !second.CacheHit || second.CacheTier != TierDisk || second.Hash != first.Hash {
 		t.Fatalf("resubmission on B not a disk hit: %+v", second)
 	}
 	if !bytes.Equal(first.Result, second.Result) {

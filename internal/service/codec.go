@@ -54,15 +54,9 @@ func (s JobSpec) Resolve(defaultSize workloads.Size) (*ResolvedJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := defaultSize
-	switch strings.ToLower(s.Size) {
-	case "":
-	case "test":
-		size = workloads.SizeTest
-	case "ref":
-		size = workloads.SizeRef
-	default:
-		return nil, fmt.Errorf("service: unknown size %q (want test or ref)", s.Size)
+	size, err := resolveSize(s.Size, defaultSize)
+	if err != nil {
+		return nil, err
 	}
 	m := config.LowEnd(a)
 	if s.HighEnd {
@@ -76,6 +70,18 @@ func (s JobSpec) Resolve(defaultSize workloads.Size) (*ResolvedJob, error) {
 	s.Arch = a.Name
 	s.Size = size.String()
 	return &ResolvedJob{Spec: s, Workload: w, Arch: a, Machine: m, Size: size}, nil
+}
+
+// resolveSize parses a job's or request's size name; "" selects def.
+func resolveSize(name string, def workloads.Size) (workloads.Size, error) {
+	if name == "" {
+		return def, nil
+	}
+	size, err := workloads.ParseSize(name)
+	if err != nil {
+		return 0, fmt.Errorf("service: %w", err)
+	}
+	return size, nil
 }
 
 // Hash is the content-addressed cache key: SHA-256 over a versioned,

@@ -68,7 +68,7 @@ var fabricHTTP = &http.Client{}
 // the entry the same way. A miss is 404; the prober moves on.
 func (s *Server) handleFabricProbe(w http.ResponseWriter, r *http.Request) {
 	hexHash := r.PathValue("hash")
-	if !isHexHash(hexHash) {
+	if !validKey(hexHash) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad probe hash %q", hexHash))
 		return
 	}

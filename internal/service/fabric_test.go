@@ -114,11 +114,11 @@ type healthView struct {
 		Running int `json:"running"`
 	} `json:"queue"`
 	Fabric struct {
-		Role       string               `json:"role"`
-		Registered bool                 `json:"registered"`
-		Peers      []json.RawMessage    `json:"peers"`
-		Probes     map[string]peerStats `json:"probes"`
-		Counters   map[string]uint64    `json:"counters"`
+		Role        string               `json:"role"`
+		Registered  bool                 `json:"registered"`
+		Peers       []json.RawMessage    `json:"peers"`
+		Probes      map[string]peerStats `json:"probes"`
+		Counters    map[string]uint64    `json:"counters"`
 		ProbeServed struct {
 			Hits   uint64 `json:"hits"`
 			Misses uint64 `json:"misses"`

@@ -338,8 +338,8 @@ func (s *Server) observeJobDone(j *Job) {
 }
 
 // Close drains the pool (bounded by ctx — expired deadlines cancel
-// in-flight simulations) and persists the cache index. It is the
-// graceful-shutdown path behind clusterd's signal handler.
+// in-flight simulations). It is the graceful-shutdown path behind
+// clusterd's signal handler; the disk cache needs no shutdown step.
 func (s *Server) Close(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
@@ -351,7 +351,7 @@ func (s *Server) Close(ctx context.Context) error {
 		c.close()
 	}
 	s.pool.Drain(ctx)
-	return s.cache.Close()
+	return nil
 }
 
 // Handler returns the HTTP API:
@@ -565,15 +565,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 
 // sizeParam resolves the ?size= query (default: server default).
 func (s *Server) sizeParam(r *http.Request) (workloads.Size, error) {
-	switch r.URL.Query().Get("size") {
-	case "":
-		return s.opts.DefaultSize, nil
-	case "test":
-		return workloads.SizeTest, nil
-	case "ref":
-		return workloads.SizeRef, nil
-	}
-	return 0, fmt.Errorf("service: unknown size %q (want test or ref)", r.URL.Query().Get("size"))
+	return resolveSize(r.URL.Query().Get("size"), s.opts.DefaultSize)
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -596,7 +588,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			return // client went away; nothing to write
 		}
 		status := http.StatusInternalServerError
-		if n != 4 && n != 5 && n != 7 && n != 8 {
+		if !harness.IsFigure(n) {
 			status = http.StatusNotFound
 		}
 		writeError(w, status, err)

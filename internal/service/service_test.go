@@ -250,9 +250,9 @@ func TestServiceConcurrentIdenticalSubmissions(t *testing.T) {
 }
 
 // TestServiceDiskCacheSurvivesRestart runs a job under server A with a
-// disk store, shuts A down gracefully (persisting the index), then
-// boots server B on the same directory: the same spec must be served
-// instantly from the disk tier with identical result bytes.
+// disk store, shuts A down gracefully, then boots server B on the same
+// directory: the same spec must be served instantly from the disk tier
+// with identical result bytes.
 func TestServiceDiskCacheSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	spec := JobSpec{App: "tomcatv", Arch: "SMT2"}
@@ -277,7 +277,6 @@ func TestServiceDiskCacheSurvivesRestart(t *testing.T) {
 		t.Fatalf("graceful close: %v", err)
 	}
 
-	// The persisted index lists the entry.
 	srvB, err := New(Options{DefaultSize: workloads.SizeTest, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -285,15 +284,12 @@ func TestServiceDiskCacheSurvivesRestart(t *testing.T) {
 	tsB := httptest.NewServer(srvB.Handler())
 	defer tsB.Close()
 	defer srvB.Close(context.Background())
-	if idx := srvB.cache.Index(); len(idx) != 1 || idx[0].Hash != first.Hash {
-		t.Fatalf("persisted index wrong: %+v (want 1 entry, hash %s)", idx, first.Hash)
-	}
 
 	status, second, _ := submit(t, tsB, spec)
 	if status != http.StatusOK {
 		t.Fatalf("resubmission on B: status %d, want 200 (instant)", status)
 	}
-	if !second.CacheHit || second.CacheTier != TierDisk {
+	if !second.CacheHit || second.CacheTier != TierDisk || second.Hash != first.Hash {
 		t.Fatalf("resubmission on B not a disk hit: %+v", second)
 	}
 	if !bytes.Equal(first.Result, second.Result) {
@@ -350,6 +346,39 @@ func TestServiceBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("figure 6: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServiceSizeNamesCaseInsensitive pins one size parser for both
+// request surfaces: "REF" in a job spec and in a figure's ?size= query
+// each resolve to the ref input, never to the server's test default
+// and never to a 400. A one-cycle bound keeps the ref runs cheap (they
+// abort at once); which suite ran them shows the size they resolved to.
+func TestServiceSizeNamesCaseInsensitive(t *testing.T) {
+	srv, ts := newTestServer(t, Options{MaxCycles: 1})
+
+	resp, err := http.Get(ts.URL + "/v1/figures/4?size=REF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusBadRequest {
+		t.Fatal("figure ?size=REF: status 400, want it resolved to ref")
+	}
+	if n := srv.suite(workloads.SizeRef).Simulations(); n == 0 {
+		t.Fatal("figure ?size=REF ran no ref-size simulations")
+	}
+	if n := srv.suite(workloads.SizeTest).Simulations(); n != 0 {
+		t.Fatalf("figure ?size=REF ran %d simulations at the test default", n)
+	}
+
+	status, upper, _ := submit(t, ts, JobSpec{App: "swim", Arch: "SMT2", Size: "REF"})
+	if status != http.StatusAccepted {
+		t.Fatalf(`job with "size":"REF": status %d, want 202`, status)
+	}
+	_, lower, _ := submit(t, ts, JobSpec{App: "swim", Arch: "SMT2", Size: "ref"})
+	if upper.Spec.Size != "ref" || upper.Hash != lower.Hash {
+		t.Fatalf(`"REF" job resolved to size %q hash %s, want "ref" hash %s`, upper.Spec.Size, upper.Hash, lower.Hash)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // snapshotStore persists warmed checkpoints (harness.SnapshotStore)
 // as content-addressed files in the service cache directory, alongside
 // the result envelopes. Filenames are "snap-<hex64>.bin", so the
-// result cache's reconciler — which only adopts 64-hex ".json"
-// envelopes — never confuses the two populations, and a snapshot
-// written by one daemon run seeds every later one's warm-ups.
+// result cache — which only reads "<hex64>.json" envelopes — never
+// confuses the two populations, and a snapshot written by one daemon
+// run seeds every later one's warm-ups.
 //
 // Both methods are best-effort by contract: a miss or failed write
 // just means the suite re-runs the warm-up, so I/O errors are
@@ -20,8 +20,9 @@ type snapshotStore struct {
 	dir string
 }
 
-// validKey bounds accepted keys to the hex digests the harness emits —
-// defense against a key ever reaching the filesystem as a path.
+// validKey reports whether key is a 64-char lowercase hex digest, the
+// form of every result and snapshot key — defense against a key ever
+// reaching the filesystem as a path.
 func validKey(key string) bool {
 	if len(key) != 64 {
 		return false
@@ -49,28 +50,12 @@ func (s snapshotStore) LoadSnapshot(key string) ([]byte, bool) {
 	return data, true
 }
 
-// SaveSnapshot writes atomically (temp file + rename), matching the
+// SaveSnapshot writes atomically (writeFileAtomic), matching the
 // result cache's crash discipline: a torn write leaves the old entry
 // or none, and core.Restore rejects anything truncated regardless.
 func (s snapshotStore) SaveSnapshot(key string, data []byte) {
-	if !validKey(key) {
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, "snap-*.tmp")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	if validKey(key) {
+		_ = writeFileAtomic(s.path(key), data)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -146,13 +145,17 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 		t.Fatalf("%s: restored-fork result differs from scratch", fresh)
 	}
 
-	// The snapshot file must not confuse the result-cache reconciler:
-	// daemon B's index lists exactly the result envelopes (A's three,
-	// reconciled at startup, plus the fresh job) and never the snapshot.
-	if idx := srvB.cache.Index(); len(idx) != len(variants)+1 {
-		t.Fatalf("reconciled index has %d entries, want %d (snap-*.bin must be ignored)", len(idx), len(variants)+1)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatalf("missing persisted index: %v", err)
+	// The snapshot file must not poison the result store: every result
+	// envelope in the shared directory — A's three and B's fresh job —
+	// is served back on B from the cache with the reference bytes.
+	ref[fresh] = doneRef.Result
+	for app, want := range ref {
+		status, j, _ := submit(t, tsB, JobSpec{App: app, Arch: "SMT2"})
+		if status != http.StatusOK || !j.CacheHit {
+			t.Fatalf("resubmit %s on B: status %d cache_hit=%v, want a 200 cache hit", app, status, j.CacheHit)
+		}
+		if !bytes.Equal(want, j.Result) {
+			t.Fatalf("%s: cached result on B differs from the reference", app)
+		}
 	}
 }

@@ -42,6 +42,18 @@ func (s Size) String() string {
 	return "ref"
 }
 
+// ParseSize resolves an input-size name, case-insensitively: "test" or
+// "ref". Every command flag and service request parses sizes here.
+func ParseSize(name string) (Size, error) {
+	switch strings.ToLower(name) {
+	case "test":
+		return SizeTest, nil
+	case "ref":
+		return SizeRef, nil
+	}
+	return 0, fmt.Errorf("unknown size %q (want test or ref)", name)
+}
+
 // Workload is one application.
 type Workload struct {
 	Name        string

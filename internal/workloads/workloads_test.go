@@ -172,6 +172,33 @@ func TestSizesDiffer(t *testing.T) {
 	}
 }
 
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Size
+		ok   bool
+	}{
+		{"ref", SizeRef, true},
+		{"REF", SizeRef, true},
+		{"test", SizeTest, true},
+		{"Test", SizeTest, true},
+		{"bogus", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseSize(tc.name)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseSize(%q) error = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if tc.ok && got != tc.want {
+			t.Errorf("ParseSize(%q) = %s, want %s", tc.name, got, tc.want)
+		}
+		if tc.ok && got.String() != strings.ToLower(tc.name) {
+			t.Errorf("ParseSize(%q).String() = %q does not round-trip", tc.name, got)
+		}
+	}
+}
+
 // TestTimingMatchesFunctionalMemory: for every kernel and a
 // representative architecture set, the timing simulator must leave the
 // entire data segment bit-identical to the pure-functional reference —
